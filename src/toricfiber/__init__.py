@@ -14,10 +14,8 @@ from .bundles import (FiberSection, FibredForm, HomogeneousForm,
                       quotient_surjection, restrict_section_to_orbit_closure,
                       restrict_to_fiber, same_bundle, sections_basis,
                       xi_transition)
-from .fans import (Cone, Fan, build_fan, cone_multiplicity, contains_relint,
-                   fan_equal, fan_from_cones, fan_isomorphic, is_smooth,
-                   relint_point, singular_locus_cones, star, star_subdivide,
-                   zero_fan)
+from .fans import (Cone, Fan, fan_equal, fan_from_cones, fan_isomorphic,
+                   singular_locus_cones, star, star_subdivide, zero_fan)
 from .intlinalg import (INFINITE, LatticeMap, QuotientLattice,
                         SmithDecomposition, cokernel_index, dual_map,
                         kernel_basis, quotient_lattice, section_of_surjection,
@@ -27,7 +25,6 @@ from .morphism import (EMPTY, FanMap, FiberComponent, FiberReport,
                        is_map_of_fans)
 from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
                         dual_polytope, face_polytope, facet_count,
-                        facet_vertex_incidence, hull,
                         interior_lattice_points, is_reflexive, lattice_points,
                         normal_fan, restriction_polytope)
 from .surfaces import (CATALOG_RAYS, UNKNOWN, catalog_fan,

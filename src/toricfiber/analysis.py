@@ -5,11 +5,13 @@ polynomial moduli count, and the scripted desingularization pipeline.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fans import Fan, star_subdivide
+from .fans import Cone, Fan, star_subdivide
 from .intlinalg import LatticeMap, Vec, vdot
+from .morphism import FanMap
 from .polytopes import (Polytope, face_polytope, interior_lattice_points,
                         is_reflexive, lattice_points)
 from .surfaces import order_counterclockwise
@@ -166,7 +168,6 @@ def intersection_table(fan: Fan) -> IntersectionTable:
     rays = order_counterclockwise(fan.rays)
     n = len(rays)
     table = [[Fraction(0)] * n for _ in range(n)]
-    from .fans import Cone
     for i in range(n):
         j = (i + 1) % n
         mult = Cone.make([rays[i], rays[j]], 2).multiplicity()
@@ -254,7 +255,6 @@ def resolve_pipeline(fan: Fan, rays, phi: LatticeMap | None = None,
     primitive_over = None
     generic_rays = None
     if phi is not None and target is not None:
-        from .morphism import FanMap
         fm = FanMap(phi, current, target)
         primitive_over = {
             sigma: tuple(fm.primitive_cones(sigma))
@@ -274,6 +274,5 @@ _FIBER_NOTES = {
 
 
 def fiber_pattern_note(labels) -> str | None:
-    from collections import Counter
     key = frozenset(Counter(labels).items())
     return _FIBER_NOTES.get(key)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fans import Fan
-from .intlinalg import (LatticeMap, Vec, cokernel_index, is_zero,
-                        quotient_lattice, saturate_columns,
-                        section_of_surjection, vdot, vsub)
+from .intlinalg import (LatticeMap, Vec, cokernel_index, dual_map, is_zero,
+                        mat_mul, mat_transpose, mat_vec, quotient_lattice,
+                        saturate_columns, section_of_surjection, vdot, vsub)
 from .morphism import FanMap, RelativeStar
 from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
-                        restriction_polytope)
+                        restriction_polytope, support_vertices)
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class PLFunction:
             if k == key:
                 return v
         raise KeyError(cone_idx)
-
-    def weight_map(self) -> dict:
-        return dict(self.weights)
 
     def is_compatible(self) -> bool:
         """Weights agree on shared rays of any two maximal cones."""
@@ -73,19 +70,7 @@ def plf_from_polytope(p: Polytope, fan: Fan) -> PLFunction:
     pairing on it; non-uniqueness means the fan does not refine the
     normal fan and is an error.
     """
-    weights = {}
-    for idx in fan.maximal_cones:
-        cone = fan.cone(idx)
-        mins = p.minimizing_vertices(cone.relint_point())
-        if len(mins) != 1:
-            raise ValueError("fan does not refine the normal fan of the polytope")
-        w = mins[0]
-        for i in idx:
-            ray = fan.rays[i]
-            if vdot(w, ray) != min(vdot(v, ray) for v in p.vertices):
-                raise ValueError("fan does not refine the normal fan of the polytope")
-        weights[idx] = w
-    return PLFunction.from_dict(fan, weights)
+    return PLFunction.from_dict(fan, support_vertices(p, fan))
 
 
 def polytope_from_plf(h: PLFunction) -> Polytope:
@@ -130,9 +115,6 @@ class LaurentSection:
     def generic(cls, p: Polytope, prefix: str = "a") -> "LaurentSection":
         return cls.from_dict({m: f"{prefix}{m}" for m in lattice_points(p)})
 
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
     def __len__(self):
         return len(self.terms)
 
@@ -142,10 +124,7 @@ class LaurentSection:
         for e, c in self.terms:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("cannot evaluate a symbolic coefficient")
-            val = Fraction(c)
-            for t, k in zip(point, e, strict=True):
-                val *= Fraction(t) ** k
-            total += val
+            total += Fraction(c) * _monomial(point, e)
         return total
 
 
@@ -170,24 +149,17 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
 
 
 def pullback_bundle(f: FanMap, p2: Polytope) -> Polytope:
-    """Polytope of the pulled-back bundle: the transpose image of p2."""
-    _check_refines(f.target, p2)
-    mt = f.phi.matrix
-    verts = [tuple(sum(mt[i][j] * v[i] for i in range(len(v)))
-                   for j in range(f.phi.source_rank)) for v in p2.vertices]
-    return Polytope(verts)
+    """Polytope of the pulled-back bundle: the transpose image of p2.
+
+    The target fan must refine the normal fan of p2.
+    """
+    support_vertices(p2, f.target)
+    phi_t = dual_map(f.phi)
+    return Polytope([phi_t.apply(v) for v in p2.vertices])
 
 
 def pullback_section_exponent(f: FanMap, m: Vec) -> Vec:
-    mt = f.phi.matrix
-    return tuple(sum(mt[i][j] * m[i] for i in range(len(m)))
-                 for j in range(f.phi.source_rank))
-
-
-def _check_refines(fan: Fan, p: Polytope):
-    for idx in fan.maximal_cones:
-        if len(p.minimizing_vertices(fan.cone(idx).relint_point())) != 1:
-            raise ValueError("fan does not refine the normal fan of the polytope")
+    return dual_map(f.phi).apply(m)
 
 
 @dataclass(frozen=True)
@@ -197,9 +169,6 @@ class FiberSection:
     groups: tuple[tuple[Vec, tuple[tuple[Vec, object], ...]], ...]
     polytope: Polytope
     star: RelativeStar
-
-    def group_dict(self) -> dict:
-        return {f: dict(terms) for f, terms in self.groups}
 
     def group_sizes(self) -> dict:
         return {f: len(terms) for f, terms in self.groups}
@@ -218,7 +187,7 @@ def restrict_to_fiber(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     fiber_of = _fiber_matrix(star, restriction)
     groups: dict = {}
     for y, c in restricted.terms:
-        f = _apply(fiber_of, y)
+        f = mat_vec(fiber_of, y)
         groups.setdefault(f, []).append((y, c))
     return FiberSection(
         tuple(sorted((f, tuple(terms)) for f, terms in groups.items())),
@@ -236,13 +205,6 @@ class FibredForm:
     base_matrix: tuple[tuple[int, ...], ...]
     quotient_pair: tuple[tuple[int, ...], ...]
     restriction: RestrictedPolytope
-
-    def group_dict(self) -> dict:
-        return {f: {b: c for b, _, c in terms} for f, terms in self.groups}
-
-    def base_polynomials(self) -> dict:
-        return {f: sorted((b, c) for b, _, c in terms)
-                for f, terms in self.groups}
 
     def evaluate(self, fiber_point, base_point):
         total = Fraction(0)
@@ -309,12 +271,14 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     fiber_mat = _fiber_matrix(star, restriction)
     pair = tuple(tuple(vdot(q, b) for b in restriction.chart.basis)
                  for q in q_src.quotient_basis)
-    base_mat = _base_matrix(xi, pair)
+    # coords of a chart point in (N'/N'_tau)^* come from pairing with the
+    # quotient basis lifts; xi^T then lands them in (N/N_sigma)^*
+    base_mat = tuple(tuple(row) for row in mat_mul(mat_transpose(xi.matrix), pair))
     groups: dict = {}
     seen = set()
     for y, c in restricted.terms:
-        f = _apply(fiber_mat, y)
-        b = _apply(base_mat, y)
+        f = mat_vec(fiber_mat, y)
+        b = mat_vec(base_mat, y)
         assert (f, b) not in seen, "fibred splitting collided on two terms"
         seen.add((f, b))
         groups.setdefault(f, []).append((b, y, c))
@@ -331,8 +295,8 @@ def xi_transition(xi1: LatticeMap, xi2: LatticeMap, form1: FibredForm,
     g2 = {f: {chart: (b, c) for b, chart, c in terms} for f, terms in form2.groups}
     if g1.keys() != g2.keys():
         return False
-    delta = [[x2 - x1 for x1, x2 in zip(r1, r2, strict=True)]
-             for r1, r2 in zip(xi1.matrix, xi2.matrix, strict=True)]
+    delta_t = mat_transpose([[x2 - x1 for x1, x2 in zip(r1, r2, strict=True)]
+                             for r1, r2 in zip(xi1.matrix, xi2.matrix, strict=True)])
     for f in g1:
         if g1[f].keys() != g2[f].keys():
             return False
@@ -342,12 +306,8 @@ def xi_transition(xi1: LatticeMap, xi2: LatticeMap, form1: FibredForm,
                 return False
             # base exponents are xi^T of the quotient-dual coordinates of
             # the term, so the shift must be delta^T of those coordinates
-            coords = _apply(form1.quotient_pair, chart)
-            rows = len(delta[0]) if delta else 0
-            expected = tuple(sum(delta[k][i] * coords[k]
-                                 for k in range(len(delta)))
-                             for i in range(rows))
-            if vsub(b2, b1) != expected:
+            coords = mat_vec(form1.quotient_pair, chart)
+            if vsub(b2, b1) != mat_vec(delta_t, coords):
                 return False
     return True
 
@@ -355,22 +315,6 @@ def xi_transition(xi1: LatticeMap, xi2: LatticeMap, form1: FibredForm,
 def _fiber_matrix(star: RelativeStar, restriction: RestrictedPolytope):
     basis = restriction.chart.basis
     return tuple(tuple(vdot(lift, b) for b in basis) for lift in star.lifts)
-
-
-def _base_matrix(xi: LatticeMap, pair):
-    # coords of a chart point in (N'/N'_tau)^* come from pairing with the
-    # quotient basis lifts; xi^T then lands them in (N/N_sigma)^*
-    cols = len(pair[0]) if pair else 0
-    rows = []
-    for i in range(xi.source_rank):
-        rows.append(tuple(sum(xi.matrix[k][i] * pair[k][j]
-                              for k in range(len(pair)))
-                          for j in range(cols)))
-    return tuple(rows)
-
-
-def _apply(matrix, y) -> Vec:
-    return tuple(sum(row[j] * y[j] for j in range(len(y))) for row in matrix)
 
 
 def _monomial(point, exps):
@@ -416,9 +360,6 @@ class FibredHomogeneousForm:
     groups: tuple            # fiber exponent vector -> ((term, base exps), ...)
     xi_factors: tuple        # per term: (target-ray exps, correction exps)
 
-    def group_dict(self) -> dict:
-        return {f: dict(terms) for f, terms in self.groups}
-
 
 def fibred_homogeneous_form(s: LaurentSection, p: Polytope, m: FanMap,
                             divisor_coeffs, xi: LatticeMap | None = None
@@ -436,14 +377,14 @@ def fibred_homogeneous_form(s: LaurentSection, p: Polytope, m: FanMap,
         comp = m.phi.compose(xi)
         if comp.matrix != LatticeMap.identity(m.phi.target_rank).matrix:
             raise ValueError("xi is not a section of phi")
+    xi_dual = dual_map(xi)
     groups: dict = {}
     xi_factors = []
     for e, exps in full.ray_exponents:
         fiber_key = tuple(exps[i] for i in fiber_rays)
         base_part = tuple(exps[i] for i in base_rays)
         groups.setdefault(fiber_key, []).append((e, base_part))
-        xi_t = tuple(sum(xi.matrix[k][j] * e[k] for k in range(len(e)))
-                     for j in range(xi.source_rank))
+        xi_t = xi_dual.apply(e)
         target_exps = tuple(vdot(xi_t, v) for v in m.target.rays)
         correction = tuple(
             vdot(e, vsub(m.source.rays[i], xi.apply(m.phi.apply(m.source.rays[i]))))

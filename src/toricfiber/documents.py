@@ -1,5 +1,5 @@
-"""Plain-text documents for lattice maps, fans, polytopes, sections and
-CLI jobs.  One line-oriented format, versioned per kind; serialization
+"""Plain-text documents for lattice maps, fans, polytopes and sections.
+One line-oriented format, versioned per kind; serialization
 is canonical so round-trips are stable byte-for-byte.
 """
 
@@ -13,7 +13,7 @@ from .intlinalg import LatticeMap, is_primitive, is_zero
 from .polytopes import Polytope
 
 MAGIC = "toricfiber"
-KINDS = ("lattice_map", "fan", "polytope", "section", "job")
+KINDS = ("lattice_map", "fan", "polytope", "section")
 VERSION = "v1"
 
 
@@ -58,7 +58,6 @@ def parse(text: str) -> Document:
         "fan": _parse_fan,
         "polytope": _parse_polytope,
         "section": _parse_section,
-        "job": _parse_job,
     }[kind]
     return Document(kind, version, parser(body))
 
@@ -73,11 +72,19 @@ def _expect_key(body, pos, key):
     return no, parts[1:]
 
 
+def _expect_count(body, pos, key) -> int:
+    """The single non-negative integer on a `key N` line."""
+    no, val = _expect_key(body, pos, key)
+    count = _ints(val, no)
+    if len(count) != 1 or count[0] < 0:
+        raise DocumentError(f"'{key}' needs one non-negative integer, got {val!r}",
+                            no)
+    return count[0]
+
+
 def _parse_lattice_map(body):
-    no, val = _expect_key(body, 0, "rows")
-    rows = int(val[0])
-    no, val = _expect_key(body, 1, "cols")
-    cols = int(val[0])
+    rows = _expect_count(body, 0, "rows")
+    cols = _expect_count(body, 1, "cols")
     matrix = []
     for pos in range(rows):
         no, val = _expect_key(body, 2 + pos, "row")
@@ -92,8 +99,7 @@ def _parse_lattice_map(body):
 
 
 def _parse_fan(body):
-    no, val = _expect_key(body, 0, "rank")
-    rank = int(val[0])
+    rank = _expect_count(body, 0, "rank")
     rays = {}
     order = []
     cones = []
@@ -129,8 +135,7 @@ def _parse_fan(body):
 
 
 def _parse_polytope(body):
-    no, val = _expect_key(body, 0, "rank")
-    rank = int(val[0])
+    rank = _expect_count(body, 0, "rank")
     verts = []
     for no, ln in body[1:]:
         parts = ln.split()
@@ -154,8 +159,7 @@ def _parse_coefficient(token: str, line: int):
 
 
 def _parse_section(body):
-    no, val = _expect_key(body, 0, "rank")
-    rank = int(val[0])
+    rank = _expect_count(body, 0, "rank")
     terms = {}
     for no, ln in body[1:]:
         parts = ln.split()
@@ -174,26 +178,6 @@ def _parse_section(body):
             raise DocumentError(f"duplicate exponent {exp}", no)
         terms[exp] = _parse_coefficient(parts[eq + 1], no)
     return {"rank": rank, "terms": terms}
-
-
-def _parse_job(body):
-    payload = {"task": None, "options": {}}
-    for no, ln in body:
-        parts = ln.split()
-        if parts[0] == "task":
-            if len(parts) != 2:
-                raise DocumentError("task line needs one name", no)
-            payload["task"] = parts[1]
-        elif parts[0] == "option":
-            if len(parts) < 4 or parts[2] != "=":
-                raise DocumentError("option line must read 'option KEY = VALUE'",
-                                    no)
-            payload["options"][parts[1]] = " ".join(parts[3:])
-        else:
-            raise DocumentError(f"unexpected line {parts[0]!r} in job", no)
-    if payload["task"] is None:
-        raise DocumentError("job document has no task")
-    return payload
 
 
 def serialize(doc: Document) -> str:
@@ -219,10 +203,6 @@ def serialize(doc: Document) -> str:
         for exp in sorted(p["terms"]):
             out.append("term " + " ".join(str(x) for x in exp)
                        + f" = {p['terms'][exp]}")
-    elif doc.kind == "job":
-        out.append(f"task {p['task']}")
-        for key in sorted(p["options"]):
-            out.append(f"option {key} = {p['options'][key]}")
     else:  # pragma: no cover
         raise DocumentError(f"unknown kind {doc.kind}")
     return "\n".join(out) + "\n"

@@ -9,15 +9,15 @@ trusted to their construction, e.g. star subdivision output).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import (cone_extreme_rays, cone_halfspaces,
-                       cone_is_strongly_convex, intersect_cones)
-from .intlinalg import (Vec, is_zero, is_primitive, primitivize,
+from .geometry import cone_halfspaces, dual_description, intersect_cones
+from .intlinalg import (Vec, is_zero, is_primitive, mat_vec, primitivize,
                         quotient_lattice, smith_normal_form, solve_rational,
-                        vadd, vdot)
+                        solve_unimodular, vadd, vdot)
 
 PAIRWISE_CHECK_LIMIT = 60
 
@@ -34,10 +34,10 @@ class Cone:
         gens = sorted({primitivize(g) for g in generators if not is_zero(g)})
         cone = cls(tuple(gens), ambient_rank)
         if not cone.is_simplicial:
-            if not cone_is_strongly_convex(gens, ambient_rank):
+            extreme = cone._extreme_rays()
+            if extreme is None:
                 raise ValueError(f"cone {gens} is not strongly convex")
-            extreme = set(cone_extreme_rays(gens, ambient_rank))
-            if extreme != set(gens):
+            if set(extreme) != set(gens):
                 cone = cls(tuple(sorted(extreme)), ambient_rank)
         return cone
 
@@ -57,6 +57,12 @@ class Cone:
     @cached_property
     def halfspaces(self):
         return cone_halfspaces(list(self.generators), self.ambient_rank)
+
+    def _extreme_rays(self):
+        """Extreme rays from the cached H-representation, or None when the
+        cone contains a line (the dual description then has lineality)."""
+        rays, lin = dual_description(*self.halfspaces, self.ambient_rank)
+        return None if lin else rays
 
     def multiplicity(self) -> int:
         """Index of the subgroup generated by the rays inside the span lattice."""
@@ -202,7 +208,7 @@ class Fan:
                 raise ValueError(f"cone {idx} lists a redundant ray")
             if cone.is_simplicial:
                 continue
-            if not cone_is_strongly_convex(list(cone.generators), self.rank):
+            if cone._extreme_rays() is None:
                 raise ValueError(f"cone {idx} is not strongly convex")
 
     def _validate_intersections(self):
@@ -244,9 +250,6 @@ class Fan:
     def has_cone(self, idx) -> bool:
         return tuple(sorted(idx)) in self._cones
 
-    def index_of_ray(self, ray: Vec) -> int:
-        return self.rays.index(tuple(ray))
-
     def is_face(self, tau_idx, sigma_idx) -> bool:
         tau = tuple(sorted(tau_idx))
         sigma = tuple(sorted(sigma_idx))
@@ -255,10 +258,6 @@ class Fan:
     def proper_faces(self, idx) -> list[tuple[int, ...]]:
         idx = tuple(sorted(idx))
         return [f for f in self._faces_of.get(idx, ()) if f != idx]
-
-    def cones_containing(self, idx) -> list[tuple[int, ...]]:
-        idx = tuple(sorted(idx))
-        return [c for c in self.all_cone_indices if self.is_face(idx, c)]
 
     def locate_relint(self, v: Vec):
         """Index set of the unique cone whose relative interior contains v."""
@@ -301,10 +300,6 @@ class Fan:
         return tuple(counts)
 
 
-def build_fan(rank: int, rays, maximal_cones, validate: bool = True) -> Fan:
-    return Fan(rank, rays, maximal_cones, validate=validate)
-
-
 def fan_from_cones(rank: int, cones, validate: bool = True) -> Fan:
     """Fan from explicit generator lists; the ray table is collected."""
     rays: list[Vec] = []
@@ -329,22 +324,6 @@ def fan_from_cones(rank: int, cones, validate: bool = True) -> Fan:
 
 def zero_fan(rank: int) -> Fan:
     return Fan(rank, [], [], validate=False)
-
-
-def cone_multiplicity(c: Cone) -> int:
-    return c.multiplicity()
-
-
-def is_smooth(f: Fan) -> bool:
-    return f.is_smooth()
-
-
-def relint_point(c: Cone) -> Vec:
-    return c.relint_point()
-
-
-def contains_relint(c: Cone, v: Vec) -> bool:
-    return c.contains_relint(v)
 
 
 def star(f: Fan, tau_idx) -> "StarFan":
@@ -437,8 +416,6 @@ def fan_isomorphic(f1: Fan, f2: Fan):
     Returns the matrix of a lattice isomorphism carrying f1 onto f2,
     or None.  Search is anchored on one maximal cone of f1.
     """
-    from .intlinalg import mat_inverse_unimodular, mat_det, mat_mul
-
     if f1.rank != f2.rank or len(f1.rays) != len(f2.rays) or \
             len(f1.maximal_cones) != len(f2.maximal_cones):
         return None
@@ -448,52 +425,20 @@ def fan_isomorphic(f1: Fan, f2: Fan):
     if len(a_gens) != n:
         return None
     a_mat = [[g[i] for g in a_gens] for i in range(n)]
-    if abs(mat_det(a_mat)) != 1:
-        a_inv = None
-    else:
-        a_inv = mat_inverse_unimodular(a_mat)
-    import itertools
+    tops2 = {frozenset(f2.rays[i] for i in c) for c in f2.maximal_cones}
     for target in f2.maximal_cones:
         t_gens = [f2.rays[i] for i in target]
         if len(t_gens) != n:
             continue
         for perm in itertools.permutations(t_gens):
             t_mat = [[g[i] for g in perm] for i in range(n)]
-            if a_inv is None:
-                # solve U * a_mat = t_mat exactly over Q and demand integrality
-                u = _solve_matrix(a_mat, t_mat, n)
-                if u is None:
-                    continue
-            else:
-                u = mat_mul(t_mat, a_inv)
-            if abs(mat_det(u)) != 1:
+            u = solve_unimodular(a_mat, t_mat)
+            if u is None:
                 continue
-            mapped = {tuple(sum(u[i][k] * r[k] for k in range(n)) for i in range(n))
-                      for r in f1.rays}
-            if mapped != set(f2.rays):
+            image = [mat_vec(u, r) for r in f1.rays]
+            if set(image) != set(f2.rays):
                 continue
-            tops = {frozenset(tuple(sum(u[i][k] * f1.rays[j][k] for k in range(n))
-                                    for i in range(n)) for j in c)
-                    for c in f1.maximal_cones}
-            tops2 = {frozenset(f2.rays[i] for i in c) for c in f2.maximal_cones}
+            tops = {frozenset(image[j] for j in c) for c in f1.maximal_cones}
             if tops == tops2:
                 return u
     return None
-
-
-def _solve_matrix(a_mat, t_mat, n):
-    """Integer U with U * a_mat = t_mat, or None."""
-    cols = []
-    for j in range(n):
-        rhs = [t_mat[i][j] for i in range(n)]
-        # U * a_col_j = t_col_j for all j: solve row-wise instead
-        cols.append(rhs)
-    # unknown U rows solve a_mat^T x = t_row
-    at = [list(r) for r in zip(*a_mat)]
-    u = []
-    for i in range(n):
-        sol = solve_rational(at, [t_mat[i][j] for j in range(n)])
-        if sol is None or any(s.denominator != 1 for s in sol):
-            return None
-        u.append([int(s) for s in sol])
-    return u

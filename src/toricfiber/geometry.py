@@ -110,15 +110,6 @@ def cone_extreme_rays(generators, dim: int):
     return rays
 
 
-def cone_is_strongly_convex(generators, dim: int) -> bool:
-    gens = [g for g in generators if not is_zero(g)]
-    if not gens:
-        return True
-    normals, eqs = cone_halfspaces(gens, dim)
-    _, lin = dual_description(normals, eqs, dim)
-    return not lin
-
-
 def intersect_cones(halfspaces_a, halfspaces_b, dim: int):
     """Extreme rays of the intersection of two cones given as H-data."""
     na, ea = halfspaces_a

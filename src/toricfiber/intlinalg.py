@@ -45,10 +45,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vscale(k, a: Vec):
-    return tuple(k * x for x in a)
-
-
 def vdot(a, b):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
@@ -123,6 +119,15 @@ def mat_det(a) -> int:
     return int(det)
 
 
+def lin_comb(coeffs, vectors, rank: int) -> Vec:
+    """sum_j coeffs[j] * vectors[j], a vector of length `rank`."""
+    out = [0] * rank
+    for c, v in zip(coeffs, vectors, strict=True):
+        for i in range(rank):
+            out[i] += c * v[i]
+    return tuple(out)
+
+
 def mat_inverse_unimodular(a):
     """Exact inverse of a matrix with determinant +-1."""
     n = len(a)
@@ -175,6 +180,22 @@ def solve_rational(a, b):
     for i, c in enumerate(pivots):
         x[c] = m[i][cols]
     return x
+
+
+def solve_unimodular(a, t):
+    """The integer U with U a = t and |det U| = 1, or None.
+
+    Solved row by row over Q (row i of U solves a^T x = row i of t), so
+    when `a` is invertible U is unique.
+    """
+    at = mat_transpose(a)
+    u = []
+    for row in t:
+        sol = solve_rational(at, row)
+        if sol is None or any(s.denominator != 1 for s in sol):
+            return None
+        u.append([int(s) for s in sol])
+    return u if abs(mat_det(u)) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -515,11 +536,9 @@ def lattice_intersection(basis_a, basis_b, ambient_rank: int) -> list[Vec]:
     cols = [list(a) for a in basis_a] + [[-x for x in b] for b in basis_b]
     mat = [[c[i] for c in cols] for i in range(ambient_rank)]
     ker = kernel_basis(LatticeMap.from_rows(mat))
-    na = len(basis_a)
     gens = []
     for k in ker:
-        g = tuple(sum(k[j] * basis_a[j][i] for j in range(na))
-                  for i in range(ambient_rank))
+        g = lin_comb(k[:len(basis_a)], basis_a, ambient_rank)
         if not is_zero(g):
             gens.append(g)
     return [tuple(b) for b in column_lattice_hnf(gens, ambient_rank)]

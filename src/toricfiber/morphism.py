@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fans import Cone, Fan, fan_from_cones, zero_fan
+from .geometry import dual_description
 from .intlinalg import (INFINITE, LatticeMap, Vec, cokernel_index,
                         column_lattice_hnf, in_sublattice_coords, is_zero,
-                        kernel_basis, primitivize, quotient_lattice,
+                        kernel_basis, lin_comb, primitivize, quotient_lattice,
                         saturate_columns, smith_normal_form, vdot, vsub)
-from .polytopes import Polytope, RestrictedPolytope
+from .polytopes import (Polytope, RestrictedPolytope,
+                        orthogonal_complement_basis, support_vertices)
 from .surfaces import UNKNOWN, identify_surface
 
 EMPTY = "EMPTY"
@@ -48,19 +50,11 @@ class RelativeStar:
     fan: Fan
     tau: tuple[int, ...]
     sigma: tuple[int, ...]
-    preimage_basis: tuple[Vec, ...] = field(repr=False)
     lifts: tuple[Vec, ...] = field(repr=False)
-    _quotient: object = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.fan.rank
-
-    def project_vector(self, x: Vec) -> Vec:
-        coords = in_sublattice_coords(list(self.preimage_basis), x)
-        if coords is None:
-            raise ValueError("vector is outside the sigma-preimage lattice")
-        return self._quotient.project(coords)
 
     def dual_coords(self, m: Vec) -> Vec:
         """Coordinates of m (in tau-perp of the dual lattice) dual to `lifts`."""
@@ -132,11 +126,10 @@ class FanMap:
             return self.target, self.phi, LatticeMap.identity(n)
         basis = [tuple(snf.U[i][j] for i in range(n)) for j in range(r)]
         cones = []
-        span_rows = _orthogonal_rows(basis, n)
+        span_rows = orthogonal_complement_basis(basis, n)
         for idx in self.target.maximal_cones or [()]:
             cone = self.target.cone(idx)
             normals, eqs = cone.halfspaces
-            from .geometry import dual_description
             rays, lin = dual_description(
                 list(normals), list(eqs) + span_rows, n)
             gens = []
@@ -164,10 +157,6 @@ class FanMap:
     def _phi_img(self) -> LatticeMap:
         return self._image_data[1]
 
-    @property
-    def _img_fan(self) -> Fan:
-        return self._image_data[0]
-
     def is_surjective_real(self) -> bool:
         return smith_normal_form(self.phi.matrix).rank == self.target.rank
 
@@ -181,7 +170,7 @@ class FanMap:
     def _sigma_of(self) -> dict:
         """Source cone -> the image-fan cone whose relint receives its relint."""
         out = {}
-        fan = self._img_fan
+        fan = self.image_fan()
         for idx in self.source.all_cone_indices:
             w = self._phi_img.apply(self.source.cone(idx).relint_point()) \
                 if idx else (0,) * self._phi_img.target_rank
@@ -193,7 +182,7 @@ class FanMap:
 
     def sigma_prime_of(self, sigma_idx) -> list[tuple[int, ...]]:
         sigma_idx = tuple(sorted(sigma_idx))
-        if not self._img_fan.has_cone(sigma_idx):
+        if not self.image_fan().has_cone(sigma_idx):
             raise ValueError("sigma is not a cone of the image fan")
         return [sp for sp, s in self._sigma_of.items() if s == sigma_idx]
 
@@ -217,7 +206,7 @@ class FanMap:
         sps = self.sigma_prime_of(sigma_idx)
         if not sps:
             raise ValueError("no source cones lie over sigma")
-        fan = self._img_fan
+        fan = self.image_fan()
         q_sigma = quotient_lattice(
             fan.rank, saturate_columns([fan.rays[i] for i in sigma_idx], fan.rank))
         if q_sigma.rank == 0:
@@ -248,7 +237,7 @@ class FanMap:
         sigma_idx = tuple(sorted(sigma_idx))
         if self.sigma_of(tau_idx) != sigma_idx:
             raise ValueError("tau does not lie over the relative interior of sigma")
-        fan = self._img_fan
+        fan = self.image_fan()
         n_img, n_src = fan.rank, self.source.rank
         sigma_sat = saturate_columns([fan.rays[i] for i in sigma_idx], n_img)
         q_sigma = quotient_lattice(n_img, sigma_sat)
@@ -267,7 +256,7 @@ class FanMap:
             assert c is not None, "tau is not inside the sigma-preimage"
             tau_coords.append(c)
         quot = quotient_lattice(len(pre_basis), tau_coords)
-        lifts = tuple(_combine(pre_basis, b) for b in quot.quotient_basis)
+        lifts = tuple(lin_comb(b, pre_basis, n_src) for b in quot.quotient_basis)
 
         def project(x):
             coords = in_sublattice_coords(pre_basis, x)
@@ -285,8 +274,7 @@ class FanMap:
             star_fan = zero_fan(quot.rank)
         else:
             star_fan = fan_from_cones(quot.rank, [c for c in cones if c] or [[]])
-        return RelativeStar(star_fan, tau_idx, sigma_idx,
-                            tuple(pre_basis), lifts, quot)
+        return RelativeStar(star_fan, tau_idx, sigma_idx, lifts)
 
     def component_label(self, star: RelativeStar) -> str:
         fan = star.fan
@@ -327,7 +315,7 @@ class FanMap:
         if not self.is_surjective_real():
             raise ValueError("fibration criterion requires a surjective morphism")
         violations = []
-        fan = self._img_fan
+        fan = self.image_fan()
         for sigma_idx in fan.all_cone_indices:
             sigma_cone = fan.cone(sigma_idx)
             for tau in self.primitive_cones(sigma_idx):
@@ -342,7 +330,7 @@ class FanMap:
                         not _same_cone(image_cone, sigma_cone):
                     violations.append((sigma_idx, tau))
         onto = True
-        target_rays = set(self._img_fan.rays)
+        target_rays = set(self.image_fan().rays)
         hit = set()
         for r in self.source.rays:
             w = self._phi_img.apply(r)
@@ -356,7 +344,7 @@ class FanMap:
 
     def flattening_stratification(self):
         """(sigma, FiberReport) per image-fan cone, checking index divisibility."""
-        fan = self._img_fan
+        fan = self.image_fan()
         order = sorted(fan.all_cone_indices, key=lambda s: (fan.cone(s).dim, s))
         table = [(sigma, self.fiber_report(sigma)) for sigma in order]
         index = {sigma: rep.index for sigma, rep in table}
@@ -389,7 +377,7 @@ class FanMap:
         for i, ray in enumerate(self.source.rays):
             mins[i] = frozenset(vert_index[v]
                                 for v in polytope.minimizing_vertices(ray))
-        _check_refinement(self.source, polytope)
+        support_vertices(polytope, self.source)  # raises if it does not refine
         all_verts = frozenset(range(len(polytope.vertices)))
         face_sets = {}
         for sp in self.sigma_prime_of(sigma_idx):
@@ -427,32 +415,3 @@ class FanMap:
 
 def _same_cone(a: Cone, b: Cone) -> bool:
     return set(a.generators) == set(b.generators)
-
-
-def _combine(basis, coords) -> Vec:
-    out = [0] * len(basis[0])
-    for c, b in zip(coords, basis, strict=True):
-        for i in range(len(out)):
-            out[i] += c * b[i]
-    return tuple(out)
-
-
-def _orthogonal_rows(basis, rank: int):
-    """Equations cutting out the R-span of the basis vectors."""
-    from .intlinalg import LatticeMap as LM
-    rows = [list(b) for b in basis]
-    return [list(k) for k in kernel_basis(LM.from_rows(rows))] if rows else \
-        [[int(i == j) for j in range(rank)] for i in range(rank)]
-
-
-def _check_refinement(fan: Fan, polytope: Polytope):
-    for idx in fan.maximal_cones:
-        cone = fan.cone(idx)
-        mins = polytope.minimizing_vertices(cone.relint_point())
-        if len(mins) != 1:
-            raise ValueError("fan does not refine the normal fan of the polytope")
-        v = mins[0]
-        for i in idx:
-            ray = fan.rays[i]
-            if vdot(v, ray) != min(vdot(w, ray) for w in polytope.vertices):
-                raise ValueError("fan does not refine the normal fan of the polytope")

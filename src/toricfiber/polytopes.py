@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .fans import Fan, fan_from_cones
 from .geometry import HullData, halfspaces_to_vertices
 from .intlinalg import (Vec, in_sublattice_coords, kernel_basis,
-                        LatticeMap, vdot, vsub)
+                        LatticeMap, lin_comb, vadd, vdot, vsub)
 
 
 class Polytope:
@@ -86,14 +86,6 @@ class Polytope:
         best = min(vdot(v, direction) for v in self.vertices)
         return [v for v in self.vertices if vdot(v, direction) == best]
 
-    def face_vertices(self, direction) -> list[Vec]:
-        """Vertices of the face on which <., direction> attains its minimum."""
-        return self.minimizing_vertices(direction)
-
-
-def hull(points) -> Polytope:
-    return Polytope(points)
-
 
 def facet_count(p: Polytope) -> int:
     if not p.is_full_dimensional:
@@ -103,10 +95,6 @@ def facet_count(p: Polytope) -> int:
 
 def lattice_points(p: Polytope) -> list[Vec]:
     return p.lattice_points()
-
-
-def facet_vertex_incidence(p: Polytope):
-    return p.facet_vertex_incidence()
 
 
 def _origin_interior(p: Polytope) -> bool:
@@ -161,11 +149,7 @@ class SubspaceChart:
         return coords
 
     def from_chart(self, coords) -> Vec:
-        out = list(self.origin)
-        for c, b in zip(coords, self.basis, strict=True):
-            for i in range(len(out)):
-                out[i] += c * b[i]
-        return tuple(out)
+        return vadd(self.origin, lin_comb(coords, self.basis, len(self.origin)))
 
 
 @dataclass(frozen=True)
@@ -198,6 +182,27 @@ def restrict_to_subspace(p: Polytope, origin: Vec, basis) -> Polytope:
     return Polytope(verts)
 
 
+def support_vertex(p: Polytope, fan: Fan, cone_idx) -> Vec:
+    """The vertex of P minimising every ray of a cone of the fan.
+
+    It is read off at the ray sum; the cone lies in a cone of the normal
+    fan of P exactly when that minimiser is unique and also minimises
+    each ray, and otherwise the fan does not refine the normal fan.
+    """
+    mins = p.minimizing_vertices(fan.cone(cone_idx).relint_point())
+    rays = [fan.rays[i] for i in cone_idx]
+    if len(mins) != 1 or any(vdot(mins[0], r) != min(vdot(v, r) for v in p.vertices)
+                             for r in rays):
+        raise ValueError("fan does not refine the normal fan of the polytope")
+    return mins[0]
+
+
+def support_vertices(p: Polytope, fan: Fan) -> dict:
+    """Maximal cone -> support vertex; raises unless the fan refines the
+    normal fan of P."""
+    return {idx: support_vertex(p, fan, idx) for idx in fan.maximal_cones}
+
+
 def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolytope:
     """Polytope of the bundle restricted to the orbit closure of a cone.
 
@@ -212,15 +217,7 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     tops = sorted(c for c in ref_fan.maximal_cones if ref_fan.is_face(tau_idx, c))
     if not tops:
         raise ValueError("tau is not contained in a maximal cone")
-    top_cone = ref_fan.cone(tops[0])
-    mins = p.minimizing_vertices(top_cone.relint_point())
-    if len(mins) != 1:
-        raise ValueError("fan does not refine the normal fan of the polytope")
-    origin = mins[0]
-    for i in tops[0]:
-        ray = ref_fan.rays[i]
-        if vdot(origin, ray) != min(vdot(v, ray) for v in p.vertices):
-            raise ValueError("fan does not refine the normal fan of the polytope")
+    origin = support_vertex(p, ref_fan, tops[0])
     tau_gens = [ref_fan.rays[i] for i in tau_idx]
     basis = tuple(orthogonal_complement_basis(tau_gens, p.ambient_rank))
     poly = restrict_to_subspace(p, origin, basis)

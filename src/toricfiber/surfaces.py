@@ -11,7 +11,9 @@ import itertools
 from functools import cmp_to_key
 
 from .fans import Fan, fan_from_cones
-from .intlinalg import mat_det, solve_rational
+from .geometry import HullData
+from .intlinalg import (mat_transpose, mat_vec, primitivize, solve_unimodular,
+                        vadd, vdot, vsub)
 
 UNKNOWN = "UNKNOWN"
 
@@ -70,26 +72,15 @@ def identify_surface(fan: Fan) -> str:
 
 def _matches(rays, cat) -> bool:
     n = len(rays)
-    r0, r1 = rays[0], rays[1]
+    anchor = mat_transpose(rays[:2])
     targets = []
     for k in range(n):
         targets.append((cat[k], cat[(k + 1) % n]))        # orientation kept
         targets.append((cat[k], cat[(k - 1) % n]))        # reflected
     for c0, c1 in targets:
-        u = []
-        bad = False
-        for i in range(2):
-            # row i of U satisfies  <u_i, r0> = c0[i],  <u_i, r1> = c1[i]
-            sol = solve_rational([list(r0), list(r1)], [c0[i], c1[i]])
-            if sol is None or any(s.denominator != 1 for s in sol):
-                bad = True
-                break
-            u.append([int(s) for s in sol])
-        if bad or abs(mat_det(u)) != 1:
-            continue
-        image = {(u[0][0] * r[0] + u[0][1] * r[1],
-                  u[1][0] * r[0] + u[1][1] * r[1]) for r in rays}
-        if image == set(cat):
+        # U carries rays[0] to c0 and rays[1] to c1
+        u = solve_unimodular(anchor, mat_transpose([c0, c1]))
+        if u is not None and {mat_vec(u, r) for r in rays} == set(cat):
             return True
     return False
 
@@ -100,9 +91,6 @@ def planar_sets_unimodular_equivalent(points_a, points_b) -> bool:
     Complete search anchored on extreme points and edge directions of
     the convex hulls; intended for small sets.
     """
-    from .geometry import HullData
-    from .intlinalg import primitivize
-
     pa = sorted({tuple(p) for p in points_a})
     pb = sorted({tuple(p) for p in points_b})
     if len(pa) != len(pb):
@@ -115,9 +103,9 @@ def planar_sets_unimodular_equivalent(points_a, points_b) -> bool:
     if ha.dim != hb.dim:
         return False
     if ha.dim == 1:
-        da = primitivize(tuple(x - y for x, y in zip(ha.vertices[1], ha.vertices[0])))
+        da = primitivize(vsub(ha.vertices[1], ha.vertices[0]))
         sa = sorted(_line_coords(pa, ha.vertices[0], da))
-        db = primitivize(tuple(x - y for x, y in zip(hb.vertices[1], hb.vertices[0])))
+        db = primitivize(vsub(hb.vertices[1], hb.vertices[0]))
         sb = sorted(_line_coords(pb, hb.vertices[0], db))
         return sa == sb or sorted(-x + max(sa) for x in sa) == sb
     va = ha.vertices[0]
@@ -127,21 +115,9 @@ def planar_sets_unimodular_equivalent(points_a, points_b) -> bool:
         dirs_b = _vertex_edge_dirs(hb, vb)
         for da in itertools.permutations(dirs_a, 2):
             for db in itertools.permutations(dirs_b, 2):
-                u = []
-                ok = True
-                for i in range(2):
-                    sol = solve_rational([list(da[0]), list(da[1])],
-                                         [db[0][i], db[1][i]])
-                    if sol is None or any(s.denominator != 1 for s in sol):
-                        ok = False
-                        break
-                    u.append([int(s) for s in sol])
-                if not ok or abs(mat_det(u)) != 1:
-                    continue
-                image = {(u[0][0] * (p[0] - va[0]) + u[0][1] * (p[1] - va[1]) + vb[0],
-                          u[1][0] * (p[0] - va[0]) + u[1][1] * (p[1] - va[1]) + vb[1])
-                         for p in pa}
-                if image == set_b:
+                u = solve_unimodular(mat_transpose(da), mat_transpose(db))
+                if u is not None and \
+                        {vadd(mat_vec(u, vsub(p, va)), vb) for p in pa} == set_b:
                     return True
     return False
 
@@ -160,8 +136,6 @@ def _line_coords(points, origin, direction):
 
 def _vertex_edge_dirs(hull, v):
     """Primitive directions of the two hull edges leaving vertex v."""
-    from .intlinalg import primitivize, vdot
-
     dirs = []
     for n, c in hull.facets:
         if vdot(n, v) == -c:

@@ -25,7 +25,7 @@ from toricfiber.fans import (fan_equal, fan_isomorphic,
 from toricfiber.intlinalg import (LatticeMap, mat_det, mat_mul, mat_vec,
                                   smith_normal_form)
 from toricfiber.morphism import FanMap, is_map_of_fans
-from toricfiber.polytopes import (Polytope, dual_polytope, hull, is_reflexive,
+from toricfiber.polytopes import (Polytope, dual_polytope, is_reflexive,
                                   lattice_points, normal_fan,
                                   restriction_polytope)
 from toricfiber.surfaces import (CATALOG_RAYS, catalog_fan,
@@ -466,7 +466,7 @@ def _suite_lattice_point_oracle(cases=200):
         dim = rng.randint(2, 4)
         pts = [tuple(rng.randint(-2, 2) for _ in range(dim))
                for _ in range(rng.randint(dim + 1, dim + 2))]
-        p = hull(pts)
+        p = Polytope(pts)
         got = set(lattice_points(p))
         member = hull_membership_oracle(p.vertices)
         lo, hi = p.bounding_box()
@@ -507,7 +507,7 @@ def _suite_reflexive_double_dual(cases=200):
         seed = REFLEXIVE_SEEDS[i % len(REFLEXIVE_SEEDS)]
         n = len(seed[0])
         u = _random_unimodular(rng, n)
-        p = hull([tuple(mat_vec(u, v)) for v in seed])
+        p = Polytope([tuple(mat_vec(u, v)) for v in seed])
         assert is_reflexive(p)
         assert dual_polytope(dual_polytope(p)) == p
 

@@ -8,8 +8,8 @@ from toricfiber.analysis import (DISCRIMINANTS, adjunction_genus,
                                  discriminant_eval, facet_interior_sum,
                                  fiber_pattern_note, intersection_table,
                                  moduli_dimension, resolve_pipeline)
-from toricfiber.fans import build_fan
-from toricfiber.polytopes import hull
+from toricfiber.fans import Fan
+from toricfiber.polytopes import Polytope
 from toricfiber.surfaces import CATALOG_RAYS, catalog_fan
 
 
@@ -139,7 +139,7 @@ def test_smooth_fan_wall_relation():
 
 def test_intersection_table_requires_complete():
     with pytest.raises(ValueError):
-        intersection_table(build_fan(2, [(1, 0), (0, 1)], [[0, 1]]))
+        intersection_table(Fan(2, [(1, 0), (0, 1)], [[0, 1]]))
 
 
 def test_adjunction_genus():
@@ -153,15 +153,15 @@ def test_moduli_dimension():
     p = data.section_polytope()
     assert facet_interior_sum(p) == 462
     assert moduli_dimension(p) == 2897
-    tri = hull([(1, 0), (0, 1), (-1, -1)])
+    tri = Polytope([(1, 0), (0, 1), (-1, -1)])
     assert moduli_dimension(tri) == 1
-    square = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    square = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     assert moduli_dimension(square) == 9 - 3 - 4
 
 
 def test_moduli_rejects_non_reflexive():
     with pytest.raises(ValueError):
-        moduli_dimension(hull([(2, 0), (0, 2), (-2, -2)]))
+        moduli_dimension(Polytope([(2, 0), (0, 2), (-2, -2)]))
 
 
 def test_resolve_pipeline():

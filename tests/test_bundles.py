@@ -13,16 +13,16 @@ from toricfiber.bundles import (LaurentSection, fibred_form,
                                 restrict_section_to_orbit_closure,
                                 restrict_to_fiber, same_bundle,
                                 sections_basis, xi_transition)
-from toricfiber.fans import build_fan
+from toricfiber.fans import Fan
 from toricfiber.intlinalg import (LatticeMap, kernel_basis, mat_det,
                                   section_of_surjection)
 from toricfiber.morphism import FanMap
-from toricfiber.polytopes import hull, lattice_points
+from toricfiber.polytopes import Polytope, lattice_points
 
 
 def cp2_setup():
-    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
-    p = hull([(-1, -1), (2, -1), (-1, 2)])  # anticanonical triangle
+    fan = Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
+    p = Polytope([(-1, -1), (2, -1), (-1, 2)])  # anticanonical triangle
     return fan, p
 
 
@@ -44,11 +44,11 @@ def test_plf_round_trip():
 
 def test_plf_point_is_principal():
     fan, _ = cp2_setup()
-    point = hull([(3, -2)])
+    point = Polytope([(3, -2)])
     h = plf_from_polytope(point, fan)
     assert is_principal(h)
-    segment_fan = build_fan(1, [(1,), (-1,)], [[0], [1]])
-    seg = hull([(0,), (1,)])
+    segment_fan = Fan(1, [(1,), (-1,)], [[0], [1]])
+    seg = Polytope([(0,), (1,)])
     h = plf_from_polytope(seg, segment_fan)
     assert not is_principal(h)
     assert polytope_from_plf(h) == seg
@@ -56,26 +56,41 @@ def test_plf_point_is_principal():
 
 def test_plf_rejects_non_refining_fan():
     # the quadrant fan does not refine the normal fan of the CP2 triangle
-    quad = build_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    quad = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
                      [[0, 1], [1, 2], [2, 3], [3, 0]])
     _, tri = cp2_setup()
     with pytest.raises(ValueError):
         plf_from_polytope(tri, quad)
 
 
+def test_refinement_checks_every_ray():
+    # the cone holds (1, 0) inside, across the normal-fan wall between
+    # (0, 0) and (0, 1); its ray sum (4, 1) still has the unique minimiser
+    # (0, 0), but the ray (1, -1) is minimised at (0, 1)
+    wedge = Fan(2, [(3, 2), (1, -1)], [(0, 1)])
+    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    m = FanMap(LatticeMap.identity(2), wedge, wedge)
+    with pytest.raises(ValueError, match="does not refine"):
+        pullback_bundle(m, square)
+    with pytest.raises(ValueError, match="does not refine"):
+        plf_from_polytope(square, wedge)
+    with pytest.raises(ValueError, match="does not refine"):
+        m.lighted_part(square, (0, 1))
+
+
 def test_same_bundle_linear_shift():
     fan, tri = cp2_setup()
     h1 = plf_from_polytope(tri, fan)
-    shifted = hull([(v[0] + 2, v[1] - 1) for v in tri.vertices])
+    shifted = Polytope([(v[0] + 2, v[1] - 1) for v in tri.vertices])
     h2 = plf_from_polytope(shifted, fan)
     assert same_bundle(h1, h2)
-    bigger = hull([(2 * v[0], 2 * v[1]) for v in tri.vertices])
+    bigger = Polytope([(2 * v[0], 2 * v[1]) for v in tri.vertices])
     assert not same_bundle(h1, plf_from_polytope(bigger, fan))
 
 
 def test_sections_counts():
     assert len(sections_basis(data.section_polytope())) == 3365
-    assert len(sections_basis(hull([(4, 4)]))) == 1
+    assert len(sections_basis(Polytope([(4, 4)]))) == 1
 
 
 def test_restriction_kernel_dimension():
@@ -102,9 +117,9 @@ def test_pullback_identity_and_constant():
     m = FanMap(LatticeMap.identity(2), fan, fan)
     assert pullback_bundle(m, tri) == tri
     assert pullback_section_exponent(m, (2, -1)) == (2, -1)
-    line = build_fan(1, [(1,), (-1,)], [[0], [1]])
+    line = Fan(1, [(1,), (-1,)], [[0], [1]])
     zero = FanMap(LatticeMap.from_rows([[0], [0]]), line, fan)
-    assert pullback_bundle(zero, tri) == hull([(0,)])
+    assert pullback_bundle(zero, tri) == Polytope([(0,)])
 
 
 def test_pullback_commutes_with_fiber_projection():
@@ -251,7 +266,7 @@ def test_homogeneous_cp2_anticanonical():
 def test_homogeneous_single_point():
     fan, _ = cp2_setup()
     s = LaurentSection.from_dict({(0, 0): Fraction(1)})
-    table = homogeneous_form(s, hull([(0, 0)]), fan, [0, 0, 0])
+    table = homogeneous_form(s, Polytope([(0, 0)]), fan, [0, 0, 0])
     assert table.ray_exponents == (((0, 0), (0, 0, 0)),)
 
 

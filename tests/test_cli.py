@@ -1,7 +1,10 @@
+import sys
+
+import pytest
 from click.testing import CliRunner
 
 from toricfiber import data
-from toricfiber.cli import cli, pipeline_report_lines
+from toricfiber.cli import cli, main, pipeline_report_lines
 from toricfiber.documents import fan_document, serialize
 
 
@@ -102,6 +105,18 @@ def test_invalid_document_fails(tmp_path):
     path.write_text("toricfiber fan v1\nrank 2\nray a 2 4\ncone a\n")
     res = CliRunner().invoke(cli, ["fan", "check", "--input", str(path)])
     assert res.exit_code != 0
+
+
+def test_malformed_key_line_reports_its_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.fan"
+    path.write_text("toricfiber fan v1\nrank\n")
+    monkeypatch.setattr(sys, "argv",
+                        ["toricfiber", "fan", "check", "--input", str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
 
 
 def test_pipeline_report_deterministic():

@@ -54,6 +54,17 @@ def test_bad_header():
         parse("toricfiber fan v99\nrank 1\n")
     with pytest.raises(DocumentError):
         parse("")
+    with pytest.raises(DocumentError) as err:
+        parse("toricfiber job v1\ntask morphism.fibers\n")
+    assert "unknown document kind" in str(err.value)
+    assert "line 1" in str(err.value)
+    for text, line in (("toricfiber fan v1\nrank\n", 2),
+                       ("toricfiber fan v1\nrank x\n", 2),
+                       ("toricfiber polytope v1\nrank -1\nvertex\n", 2),
+                       ("toricfiber lattice_map v1\nrows 1\ncols\nrow 1\n", 3)):
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert err.value.line == line
 
 
 def test_polytope_roundtrip():
@@ -89,14 +100,6 @@ def test_section_duplicate_exponent():
     text = "toricfiber section v1\nrank 1\nterm 0 = 1\nterm 0 = 2\n"
     with pytest.raises(DocumentError):
         parse(text)
-
-
-def test_job_roundtrip():
-    text = ("toricfiber job v1\ntask morphism.fibers\n"
-            "option sigma = r1\noption format = structured\n")
-    doc = roundtrip(text)
-    assert doc.payload["task"] == "morphism.fibers"
-    assert doc.payload["options"]["sigma"] == "r1"
 
 
 def test_kind_mismatch_conversions():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from toricfiber import data
-from toricfiber.fans import (Cone, Fan, build_fan, fan_equal, fan_isomorphic,
+from toricfiber.fans import (Cone, Fan, fan_equal, fan_isomorphic,
                              singular_locus_cones, star, star_subdivide,
                              zero_fan)
 from toricfiber.intlinalg import mat_vec
@@ -18,7 +18,7 @@ def test_base_fan_counts():
 
 
 def test_projective_line_fan():
-    f = build_fan(1, [(1,), (-1,)], [[0], [1]])
+    f = Fan(1, [(1,), (-1,)], [[0], [1]])
     assert len(f.all_cone_indices) == 3
     assert f.is_complete() and f.is_smooth()
 
@@ -42,13 +42,13 @@ def test_total_fan_builds_and_is_singular():
 
 def test_build_rejects_non_primitive_ray():
     with pytest.raises(ValueError):
-        build_fan(2, [(2, 4)], [[0]])
+        Fan(2, [(2, 4)], [[0]])
 
 
 def test_build_rejects_overlap():
     # two 2-cones overlapping in the interior, not in a face
     with pytest.raises(ValueError):
-        build_fan(2, [(1, 0), (0, 1), (1, 1), (1, -1)],
+        Fan(2, [(1, 0), (0, 1), (1, 1), (1, -1)],
                   [[0, 1], [2, 3]])
 
 
@@ -112,7 +112,7 @@ def test_star_of_singular_cones():
 
 
 def test_star_subdivide_smooth_cone():
-    f = build_fan(2, [(1, 0), (0, 1)], [[0, 1]])
+    f = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
     g = star_subdivide(f, (1, 1))
     assert len(g.maximal_cones) == 2
     assert g.is_smooth()
@@ -140,7 +140,7 @@ def test_star_subdivide_preserves_support():
 
 
 def test_star_subdivide_outside_support():
-    f = build_fan(2, [(1, 0), (0, 1)], [[0, 1]])
+    f = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
     with pytest.raises(ValueError):
         star_subdivide(f, (-1, 0))
 
@@ -151,7 +151,7 @@ def test_singular_locus():
              for c in singular_locus_cones(total)}
     assert locus == {"v5'.b'": 2, "v4'.b'": 3, "v4'.e1'.e2'": 3}
     assert singular_locus_cones(data.base_fan()) == []
-    single = build_fan(2, [(1, 0), (1, 2)], [[0, 1]])
+    single = Fan(2, [(1, 0), (1, 2)], [[0, 1]])
     assert singular_locus_cones(single) == [(0, 1)]
 
 

@@ -1,18 +1,19 @@
 import pytest
 
 from toricfiber import data
-from toricfiber.fans import build_fan, fan_equal
+from toricfiber.fans import Fan, fan_equal
 from toricfiber.intlinalg import LatticeMap, cokernel_index
 from toricfiber.morphism import EMPTY, FanMap, is_map_of_fans
-from toricfiber.polytopes import lattice_points, restriction_polytope
+from toricfiber.polytopes import (Polytope, lattice_points,
+                                  restriction_polytope)
 
 
 def line_fan():
-    return build_fan(1, [(1,), (-1,)], [[0], [1]])
+    return Fan(1, [(1,), (-1,)], [[0], [1]])
 
 
 def cp2_fan():
-    return build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
+    return Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
 
 
 def test_is_map_of_fans_examples():
@@ -21,7 +22,7 @@ def test_is_map_of_fans_examples():
     f = data.base_fan()
     assert is_map_of_fans(LatticeMap.identity(3), f, f)
     # a cone straddling both half-lines is not compatible
-    straddle = build_fan(2, [(1, 1), (-1, 1)], [[0, 1]])
+    straddle = Fan(2, [(1, 1), (-1, 1)], [[0, 1]])
     proj = LatticeMap.from_rows([[1, 0]])
     assert not is_map_of_fans(proj, straddle, line_fan())
     with pytest.raises(ValueError):
@@ -197,8 +198,8 @@ def test_is_fibration_identity():
 def test_is_fibration_blowup_false():
     # blow-up of the plane mapping to the plane: the exceptional ray is
     # primitive over the full quadrant, with a dimension drop
-    blowup = build_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 2], [2, 1]])
-    quadrant = build_fan(2, [(1, 0), (0, 1)], [[0, 1]])
+    blowup = Fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 2], [2, 1]])
+    quadrant = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
     m = FanMap(LatticeMap.identity(2), blowup, quadrant)
     cert = m.is_fibration()
     assert not cert.is_fibration
@@ -269,10 +270,9 @@ def test_lighted_part_cross_check():
 def test_lighted_part_one_dim_base():
     # a segment mapping to the line: primitive faces over sigma+ are the
     # maximal faces of the lighted part
-    src = build_fan(1, [(1,), (-1,)], [[0], [1]])
+    src = Fan(1, [(1,), (-1,)], [[0], [1]])
     m = FanMap(LatticeMap.identity(1), src, src)
-    from toricfiber.polytopes import hull
-    p = hull([(-2,), (3,)])
+    p = Polytope([(-2,), (3,)])
     part = m.lighted_part(p, (0,))
     assert [f.vertices for f in part.faces if f.primitive] == [((-2,),)]
 
@@ -292,9 +292,9 @@ def test_project_polytope_counts():
 def test_empty_intersection_recorded():
     # two primitive cones over r2 of a 3-dim stratum never span a cone
     # missing from the fan here, but synthesize one: use the blow-up map
-    blowup = build_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 2], [2, 1]])
+    blowup = Fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 2], [2, 1]])
     m = FanMap(LatticeMap.identity(2), blowup,
-               build_fan(2, [(1, 0), (0, 1)], [[0, 1]]))
+               Fan(2, [(1, 0), (0, 1)], [[0, 1]]))
     rep = m.fiber_report((0, 1))
     assert rep.intersections == {}  # single primitive cone, no subsets
     bundled = data.fibration_map()

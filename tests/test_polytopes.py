@@ -6,19 +6,19 @@ import pytest
 from toricfiber import data
 from toricfiber.intlinalg import vdot
 from toricfiber.polytopes import (Polytope, dual_polytope, face_polytope,
-                                  facet_count, hull, interior_lattice_points,
+                                  facet_count, interior_lattice_points,
                                   is_reflexive, lattice_points, normal_fan,
                                   restriction_polytope)
 
 
 def test_unit_square_from_five_points():
-    p = hull([(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
+    p = Polytope([(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
     assert len(p.vertices) == 4
     assert facet_count(p) == 4
 
 
 def test_simplex_facets():
-    p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    p = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert facet_count(p) == 4
 
 
@@ -70,7 +70,7 @@ def test_dual_polytope():
 
 
 def test_cross_polytope_cube_duality():
-    cross = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+    cross = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                   (0, 0, 1), (0, 0, -1)])
     cube = dual_polytope(cross)
     assert len(cube.vertices) == 8
@@ -92,7 +92,7 @@ def test_lattice_points_brute_force_agreement():
         dim = rng.randint(2, 4)
         pts = [tuple(rng.randint(-2, 2) for _ in range(dim))
                for _ in range(rng.randint(dim + 1, dim + 2))]
-        p = hull(pts)
+        p = Polytope(pts)
         got = set(lattice_points(p))
         member = hull_membership_oracle(p.vertices)
         lo, hi = p.bounding_box()
@@ -102,14 +102,14 @@ def test_lattice_points_brute_force_agreement():
 
 
 def test_normal_fan_square():
-    p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    p = Polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
     f = normal_fan(p)
     assert set(f.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     assert len(f.maximal_cones) == 4
 
 
 def test_normal_fan_shifted_triangle():
-    p = hull([(1, 0), (0, 1), (-1, -1)])  # contains 0, three maximal cones
+    p = Polytope([(1, 0), (0, 1), (-1, -1)])  # contains 0, three maximal cones
     f = normal_fan(p)
     assert len(f.maximal_cones) == 3
     assert f.is_complete()
@@ -160,16 +160,16 @@ def test_restriction_translation_stability():
 
 
 def test_interior_points():
-    edge = hull([(0, 0), (3, 0)])
+    edge = Polytope([(0, 0), (3, 0)])
     assert sorted(interior_lattice_points(edge)) == [(1, 0), (2, 0)]
-    vertex = hull([(5, 7)])
+    vertex = Polytope([(5, 7)])
     assert interior_lattice_points(vertex) == []
-    tri = hull([(1, 0), (0, 1), (-1, -1)])
+    tri = Polytope([(1, 0), (0, 1), (-1, -1)])
     assert interior_lattice_points(tri) == [(0, 0)]
 
 
 def test_face_polytope_guard():
-    p = hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    p = Polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
     with pytest.raises(ValueError):
         face_polytope(p, [0, 3])  # diagonal is not a face
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toricfiber.fans import build_fan
+from toricfiber.fans import Fan
 from toricfiber.intlinalg import mat_vec
 from toricfiber.surfaces import (CATALOG_RAYS, UNKNOWN, catalog_fan,
                                  complete_fan_from_rays, identify_surface,
@@ -54,9 +54,9 @@ def test_unknown_surface():
 
 def test_identify_requires_complete_2d():
     with pytest.raises(ValueError):
-        identify_surface(build_fan(2, [(1, 0), (0, 1)], [[0, 1]]))
+        identify_surface(Fan(2, [(1, 0), (0, 1)], [[0, 1]]))
     with pytest.raises(ValueError):
-        identify_surface(build_fan(3, [(1, 0, 0)], [[0]]))
+        identify_surface(Fan(3, [(1, 0, 0)], [[0]]))
 
 
 def test_planar_equivalence():
