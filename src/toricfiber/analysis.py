@@ -8,12 +8,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .fans import Cone, Fan, star_subdivide
 from .intlinalg import LatticeMap, Vec, vdot
 from .morphism import FanMap
-from .polytopes import (Polytope, face_polytope, interior_lattice_points,
-                        is_reflexive, lattice_points)
+from .polytopes import Polytope, is_reflexive, lattice_points
 from .surfaces import order_counterclockwise
 
 
@@ -217,11 +217,19 @@ def moduli_dimension(p: Polytope) -> int:
 
 
 def facet_interior_sum(p: Polytope) -> int:
-    out = 0
-    for inc in p.facet_vertex_incidence():
-        face = face_polytope(p, inc)
-        out += len(interior_lattice_points(face))
-    return out
+    """Lattice points in the relative interiors of the facets of P.
+
+    A point lies in the relative interior of facet F exactly when F is its
+    only tight facet: the smallest face holding it is the intersection of
+    its tight facets, a proper face of F once another facet is tight too.
+    The facets of a segment are points, which have no interior points.
+    """
+    if p.dim <= 1:
+        return 0
+    # tight facets per point; map(mul) is vdot without its length check
+    tight = [[sum(map(mul, n, pt)) + c for n, c in p.facets].count(0)
+             for pt in p.lattice_points()]
+    return tight.count(1)
 
 
 @dataclass(frozen=True)

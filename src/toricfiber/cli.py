@@ -60,17 +60,29 @@ def _load(path: str) -> Document:
         return parse(fh.read())
 
 
-def _fan_and_names(input_path):
+def _check_bundled_rank(rank: int, what: str):
+    """An --input that a command pairs with the bundled fan needs its rank."""
+    if rank != data.projection().source_rank:
+        raise DocumentError(f"--input {what} has rank {rank}, but the bundled "
+                            f"fan has rank {data.projection().source_rank}")
+
+
+def _fan_and_names(input_path, paired=False):
     if input_path is None:
         return data.total_fan(), data.total_ray_names()
     fan, names = fan_from_document(_load(input_path))
+    if paired:
+        _check_bundled_rank(fan.rank, "fan")
     return fan, list(names)
 
 
-def _polytope(input_path) -> Polytope:
+def _polytope(input_path, paired=False) -> Polytope:
     if input_path is None:
         return data.section_polytope()
-    return polytope_from_document(_load(input_path))
+    p = polytope_from_document(_load(input_path))
+    if paired:
+        _check_bundled_rank(p.ambient_rank, "polytope")
+    return p
 
 
 def _morphism(map_path, source_path, target_path):
@@ -331,7 +343,7 @@ def polytope_reflexive(input_path, fmt):
 @click.option("--tau", required=True, help="source cone ray names")
 @fmt_option
 def polytope_restrict(input_path, tau, fmt):
-    p = _polytope(input_path)
+    p = _polytope(input_path, paired=True)
     fan, names = data.total_fan(), data.total_ray_names()
     tau_idx = _cone_from_names(tau, names)
     r = restriction_polytope(p, tau_idx, fan)
@@ -351,7 +363,7 @@ def polytope_restrict(input_path, tau, fmt):
 @click.option("--sigma", required=True, help="target cone ray names")
 @fmt_option
 def polytope_project(input_path, tau, sigma, fmt):
-    p = _polytope(input_path)
+    p = _polytope(input_path, paired=True)
     m = data.fibration_map()
     snames, tnames = data.total_ray_names(), data.base_ray_names()
     tau_idx = _cone_from_names(tau, snames)
@@ -391,7 +403,7 @@ def bundle_sections(input_path, fmt):
 @click.option("--tau", required=True, help="source cone ray names")
 @fmt_option
 def bundle_restrict(input_path, tau, fmt):
-    p = _polytope(input_path)
+    p = _polytope(input_path, paired=True)
     fan, names = data.total_fan(), data.total_ray_names()
     tau_idx = _cone_from_names(tau, names)
     s = LaurentSection.generic(p)
@@ -411,7 +423,7 @@ def bundle_restrict(input_path, tau, fmt):
               help="'auto' or a lattice_map document path")
 @fmt_option
 def bundle_fibred(input_path, tau, sigma, xi_spec, fmt):
-    p = _polytope(input_path)
+    p = _polytope(input_path, paired=True)
     m = data.fibration_map()
     snames, tnames = data.total_ray_names(), data.base_ray_names()
     tau_idx = _cone_from_names(tau, snames)
@@ -436,7 +448,7 @@ def bundle_fibred(input_path, tau, sigma, xi_spec, fmt):
               help="divisor coefficients, comma separated (default all 1)")
 @fmt_option
 def bundle_homogeneous(input_path, coeffs, fmt):
-    p = _polytope(input_path)
+    p = _polytope(input_path, paired=True)
     fan = data.total_fan()
     a = [int(x) for x in coeffs.split(",")] if coeffs else [1] * len(fan.rays)
     s = LaurentSection.generic(p)
@@ -518,7 +530,7 @@ def analysis_moduli(input_path, fmt):
 @input_option
 @fmt_option
 def analysis_resolve(input_path, fmt):
-    f, names = _fan_and_names(input_path)
+    f, names = _fan_and_names(input_path, paired=True)
     rays = [data.RESOLUTION_RAYS[n] for n in data.RESOLUTION_ORDER]
     rep = resolve_pipeline(f, rays, phi=data.projection(),
                            target=data.base_fan())

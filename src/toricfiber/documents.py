@@ -52,29 +52,29 @@ def parse(text: str) -> Document:
         raise DocumentError(f"unknown document kind {kind!r}", first_no)
     if version != VERSION:
         raise DocumentError(f"unsupported version {version!r}", first_no)
-    body = rows[1:]
     parser = {
         "lattice_map": _parse_lattice_map,
         "fan": _parse_fan,
         "polytope": _parse_polytope,
         "section": _parse_section,
     }[kind]
-    return Document(kind, version, parser(body))
+    return Document(kind, version, parser(rows))
 
 
-def _expect_key(body, pos, key):
-    if pos >= len(body):
-        raise DocumentError(f"missing '{key}' line")
-    no, ln = body[pos]
+def _expect_key(lines, pos, key):
+    """The tokens after `key` on row `pos`; row 0 is the header."""
+    if pos >= len(lines):
+        raise DocumentError(f"missing '{key}' line", lines[-1][0] + 1)
+    no, ln = lines[pos]
     parts = ln.split()
     if parts[0] != key:
         raise DocumentError(f"expected '{key}', got {parts[0]!r}", no)
     return no, parts[1:]
 
 
-def _expect_count(body, pos, key) -> int:
+def _expect_count(lines, pos, key) -> int:
     """The single non-negative integer on a `key N` line."""
-    no, val = _expect_key(body, pos, key)
+    no, val = _expect_key(lines, pos, key)
     count = _ints(val, no)
     if len(count) != 1 or count[0] < 0:
         raise DocumentError(f"'{key}' needs one non-negative integer, got {val!r}",
@@ -82,28 +82,28 @@ def _expect_count(body, pos, key) -> int:
     return count[0]
 
 
-def _parse_lattice_map(body):
-    rows = _expect_count(body, 0, "rows")
-    cols = _expect_count(body, 1, "cols")
+def _parse_lattice_map(lines):
+    rows = _expect_count(lines, 1, "rows")
+    cols = _expect_count(lines, 2, "cols")
     matrix = []
     for pos in range(rows):
-        no, val = _expect_key(body, 2 + pos, "row")
+        no, val = _expect_key(lines, 3 + pos, "row")
         row = _ints(val, no)
         if len(row) != cols:
             raise DocumentError(f"row has {len(row)} entries, expected {cols}", no)
         matrix.append(row)
-    if len(body) != 2 + rows:
+    if len(lines) != 3 + rows:
         raise DocumentError("trailing content after matrix rows",
-                            body[2 + rows][0])
+                            lines[3 + rows][0])
     return {"matrix": tuple(matrix), "rows": rows, "cols": cols}
 
 
-def _parse_fan(body):
-    rank = _expect_count(body, 0, "rank")
+def _parse_fan(lines):
+    rank = _expect_count(lines, 1, "rank")
     rays = {}
     order = []
     cones = []
-    for no, ln in body[1:]:
+    for no, ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "ray":
             if len(parts) < 2 + rank:
@@ -134,10 +134,10 @@ def _parse_fan(body):
             "rays": tuple(rays[n] for n in order), "cones": tuple(cones)}
 
 
-def _parse_polytope(body):
-    rank = _expect_count(body, 0, "rank")
+def _parse_polytope(lines):
+    rank = _expect_count(lines, 1, "rank")
     verts = []
-    for no, ln in body[1:]:
+    for no, ln in lines[2:]:
         parts = ln.split()
         if parts[0] != "vertex":
             raise DocumentError(f"unexpected line {parts[0]!r} in polytope", no)
@@ -158,10 +158,10 @@ def _parse_coefficient(token: str, line: int):
         return token  # opaque symbolic label
 
 
-def _parse_section(body):
-    rank = _expect_count(body, 0, "rank")
+def _parse_section(lines):
+    rank = _expect_count(lines, 1, "rank")
     terms = {}
-    for no, ln in body[1:]:
+    for no, ln in lines[2:]:
         parts = ln.split()
         if parts[0] != "term":
             raise DocumentError(f"unexpected line {parts[0]!r} in section", no)

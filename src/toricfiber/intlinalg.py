@@ -115,7 +115,8 @@ def mat_det(a) -> int:
             if m[r][c]:
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"determinant {det} is not an integer")
     return int(det)
 
 
@@ -129,12 +130,14 @@ def lin_comb(coeffs, vectors, rank: int) -> Vec:
 
 
 def mat_inverse_unimodular(a):
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1, else ArithmeticError."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
     for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise ArithmeticError("matrix is singular")
         m[c], m[piv] = m[piv], m[c]
         inv = 1 / m[c][c]
         m[c] = [x * inv for x in m[c]]
@@ -143,7 +146,8 @@ def mat_inverse_unimodular(a):
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row), "matrix is not unimodular"
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ArithmeticError("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
 
 

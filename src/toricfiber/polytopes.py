@@ -4,12 +4,12 @@ polar duality, normal fans, and subspace restriction charts."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fans import Fan, fan_from_cones
 from .geometry import HullData, halfspaces_to_vertices
-from .intlinalg import (Vec, in_sublattice_coords, kernel_basis,
-                        LatticeMap, lin_comb, vadd, vdot, vsub)
+from .intlinalg import (Vec, dual_map, kernel_basis, LatticeMap, lin_comb,
+                        mat_vec, section_of_surjection, vadd, vdot, vsub)
 
 
 class Polytope:
@@ -58,21 +58,35 @@ class Polytope:
     def lattice_points(self) -> list[Vec]:
         """All lattice points, lexicographically ordered.
 
-        Bounding box scan filtered by the H-representation; boxes at
-        this scale stay in the tens of thousands.
+        Scans the bounding box in every coordinate but the last, and
+        solves the equations (as two inequalities each) and the facet
+        inequalities for the interval of the last coordinate.
         """
         if self._lattice_points is None:
-            lo, hi = self.bounding_box()
-            ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
-            ineqs = [(n, c) for n, c in self.facets]
-            eqs = list(self.equations)
-            pts = []
-            for p in itertools.product(*ranges):
-                if all(vdot(e, p) == -c for e, c in eqs) and \
-                        all(vdot(n, p) >= -c for n, c in ineqs):
-                    pts.append(p)
-            self._lattice_points = pts
+            self._lattice_points = self._scan() if self.ambient_rank else [()]
         return list(self._lattice_points)
+
+    def _scan(self) -> list[Vec]:
+        lo, hi = self.bounding_box()
+        rows = [(n[:-1], n[-1], c) for e, c0 in self.equations
+                for n, c in ((e, c0), (tuple(-x for x in e), -c0))]
+        rows += [(n[:-1], n[-1], c) for n, c in self.facets]
+        pts = []
+        for head in itertools.product(*map(range, lo[:-1], [h + 1 for h in hi[:-1]])):
+            a, b = lo[-1], hi[-1]
+            for n, t, c in rows:
+                r = -c - vdot(n, head)      # t * last >= r
+                if t > 0:
+                    a = max(a, -(-r // t))
+                elif t < 0:
+                    b = min(b, r // t)
+                elif r > 0:
+                    break
+                if a > b:
+                    break
+            else:
+                pts.extend(head + (x,) for x in range(a, b + 1))
+        return pts
 
     def facet_vertex_incidence(self):
         """Per facet, the sorted list of indices of vertices lying on it."""
@@ -137,14 +151,25 @@ def normal_fan(p: Polytope) -> Fan:
 
 @dataclass(frozen=True)
 class SubspaceChart:
-    """Affine chart origin + B y identifying a saturated sublattice slice."""
+    """Affine chart origin + B y identifying a saturated sublattice slice;
+    `left_inverse` is an integer L with L B = I, the transpose of a section
+    of B^T, which maps onto Z^k exactly when the basis is saturated."""
 
     origin: Vec
     basis: tuple[Vec, ...]
+    left_inverse: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # raises ValueError when the basis is not saturated
+        section = section_of_surjection(LatticeMap.from_rows(self.basis))
+        object.__setattr__(self, "left_inverse", dual_map(section).matrix)
 
     def to_chart(self, point) -> Vec:
-        coords = in_sublattice_coords(list(self.basis), vsub(point, self.origin))
-        if coords is None:
+        """Chart coordinates y, with lin_comb(y, basis) == point - origin."""
+        diff = vsub(point, self.origin)
+        # int() makes non-integral coordinates fail the check below
+        coords = tuple(int(x) for x in mat_vec(self.left_inverse, diff))
+        if lin_comb(coords, self.basis, len(diff)) != diff:
             raise ValueError(f"{point} is not on the chart lattice")
         return coords
 
@@ -170,16 +195,11 @@ def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
 
 def restrict_to_subspace(p: Polytope, origin: Vec, basis) -> Polytope:
     """(P - origin) intersected with the span of `basis`, in chart coords."""
-    ineqs = []
-    for n, c in p.facets:
-        coeffs = tuple(vdot(n, b) for b in basis)
-        ineqs.append((coeffs, c + vdot(n, origin)))
-    eqs = []
-    for e, c in p.equations:
-        coeffs = tuple(vdot(e, b) for b in basis)
-        eqs.append((coeffs, c + vdot(e, origin)))
-    verts = halfspaces_to_vertices(ineqs, eqs, len(basis))
-    return Polytope(verts)
+    def in_chart(rows):
+        return [(tuple(vdot(n, b) for b in basis), c + vdot(n, origin))
+                for n, c in rows]
+    return Polytope(halfspaces_to_vertices(in_chart(p.facets),
+                                           in_chart(p.equations), len(basis)))
 
 
 def support_vertex(p: Polytope, fan: Fan, cone_idx) -> Vec:
@@ -225,20 +245,14 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
 
 
 def interior_lattice_points(p: Polytope) -> list[Vec]:
-    """Lattice points in the relative interior.
+    """Lattice points in the relative interior: those tight on no facet.
 
     Convention: a 0-dimensional polytope has no interior points.
     """
     if p.dim == 0:
         return []
-    if p.is_full_dimensional:
-        return [pt for pt in p.lattice_points()
-                if all(vdot(n, pt) > -c for n, c in p.facets)]
-    chart = SubspaceChart(p.vertices[0],
-                          tuple(orthogonal_complement_basis(
-                              [e for e, _ in p.equations], p.ambient_rank)))
-    inner = restrict_to_subspace(p, chart.origin, chart.basis)
-    return [chart.from_chart(pt) for pt in interior_lattice_points(inner)]
+    return [pt for pt in p.lattice_points()
+            if all(vdot(n, pt) > -c for n, c in p.facets)]
 
 
 def face_polytope(p: Polytope, vertex_indices) -> Polytope:

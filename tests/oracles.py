@@ -2,13 +2,17 @@
 
 These deliberately avoid the package's double-description engine: hull
 membership goes through Caratheodory simplices with precomputed exact
-barycentric solvers.
+barycentric solvers.  The lattice-point oracles scan the whole bounding
+box, and the facet-interior count goes through face charts, the way the
+library did before it counted tight facets.
 """
 
 import itertools
 from fractions import Fraction
 
-from toricfiber.intlinalg import mat_mul, mat_transpose
+from toricfiber.intlinalg import lin_comb, mat_mul, mat_transpose, vadd, vdot
+from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
+                                  restrict_to_subspace)
 
 
 def _invert(matrix):
@@ -78,3 +82,38 @@ def solveable_basis(rows, d):
         work = [[x - r[c] * y for x, y in zip(r, piv)] for r in work]
         basis.append(piv)
     return basis
+
+
+def box_scan_points(p):
+    """Lattice points of p, lexicographically, by testing every point of
+    its bounding box against the H-representation."""
+    lo, hi = p.bounding_box()
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return [pt for pt in box if p.contains(pt)]
+
+
+def chart_interior_points(p):
+    """Relative-interior lattice points of p through a chart of its span.
+
+    A degenerate p is restricted to a saturated basis of the subspace its
+    equations cut out, at a vertex, and the interior points of that
+    full-dimensional polytope are mapped back.
+    """
+    if p.dim == 0:
+        return []
+    if p.is_full_dimensional:
+        return [pt for pt in box_scan_points(p)
+                if all(vdot(n, pt) > -c for n, c in p.facets)]
+    origin = p.vertices[0]
+    basis = orthogonal_complement_basis([e for e, _ in p.equations],
+                                        p.ambient_rank)
+    inner = restrict_to_subspace(p, origin, basis)
+    return [vadd(origin, lin_comb(y, basis, p.ambient_rank))
+            for y in chart_interior_points(inner)]
+
+
+def chart_facet_interior_sum(p):
+    """Facet-interior lattice points of p, summed over the face polytope of
+    each facet through its chart."""
+    return sum(len(chart_interior_points(face_polytope(p, inc)))
+               for inc in p.facet_vertex_incidence())

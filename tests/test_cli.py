@@ -119,6 +119,31 @@ def test_malformed_key_line_reports_its_line(tmp_path, monkeypatch, capsys):
     assert "line 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["polytope", "restrict", "--tau", "c1'"],
+    ["polytope", "project", "--tau", "v1',e2'", "--sigma", "d4,r1"],
+    ["bundle", "restrict", "--tau", "c1'"],
+    ["bundle", "fibred", "--tau", "v1',e2'", "--sigma", "d4,r1"],
+    ["bundle", "homogeneous"],
+    ["analysis", "resolve"],
+])
+def test_input_rank_must_match_bundled_fan(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rank2.txt"
+    if command[0] == "analysis":
+        path.write_text("toricfiber fan v1\nrank 2\nray a 1 0\nray b 0 1\n"
+                        "ray c -1 -1\ncone a b\ncone b c\ncone c a\n")
+    else:
+        path.write_text("toricfiber polytope v1\nrank 2\n"
+                        "vertex 0 0\nvertex 1 0\nvertex 0 1\n")
+    monkeypatch.setattr(sys, "argv",
+                        ["toricfiber", *command, "--input", str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert "has rank 2" in err and "has rank 5" in err
+
+
 def test_pipeline_report_deterministic():
     first = pipeline_report_lines()
     second = pipeline_report_lines()

@@ -58,7 +58,10 @@ def test_bad_header():
         parse("toricfiber job v1\ntask morphism.fibers\n")
     assert "unknown document kind" in str(err.value)
     assert "line 1" in str(err.value)
-    for text, line in (("toricfiber fan v1\nrank\n", 2),
+    for text, line in (("toricfiber fan v1", 2),
+                       ("\ntoricfiber polytope v1\n\n", 3),
+                       ("toricfiber lattice_map v1\nrows 1\n", 3),
+                       ("toricfiber fan v1\nrank\n", 2),
                        ("toricfiber fan v1\nrank x\n", 2),
                        ("toricfiber polytope v1\nrank -1\nvertex\n", 2),
                        ("toricfiber lattice_map v1\nrows 1\ncols\nrow 1\n", 3)):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   column_lattice_hnf, dual_map, kernel_basis,
-                                  lattice_intersection, mat_det, mat_mul,
+                                  lattice_intersection, mat_det,
+                                  mat_inverse_unimodular, mat_mul,
                                   quotient_lattice, section_of_surjection,
                                   smith_normal_form, sublattice_index, vdot)
 
@@ -166,3 +170,22 @@ def test_snf_contract(matrix):
         assert all(x == 0 for x in f.apply(b))
     if kb:
         assert quotient_lattice(f.source_rank, kb).torsion == ()
+
+
+def test_inverse_rejects_non_unimodular_and_singular():
+    assert mat_inverse_unimodular([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    for matrix in ([[2, 0], [0, 1]], [[1, 1], [1, 1]], [[0, 0], [0, 0]]):
+        with pytest.raises(ArithmeticError):
+            mat_inverse_unimodular(matrix)
+
+
+def test_inverse_check_survives_optimised_python():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("from toricfiber.intlinalg import mat_inverse_unimodular\n"
+            "print(mat_inverse_unimodular([[2, 0], [0, 1]]))")
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "ArithmeticError: matrix is not unimodular" in res.stderr

@@ -1,13 +1,21 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import (box_scan_points, chart_facet_interior_sum,
+                     chart_interior_points)
 from toricfiber import data
-from toricfiber.intlinalg import vdot
-from toricfiber.polytopes import (Polytope, dual_polytope, face_polytope,
-                                  facet_count, interior_lattice_points,
-                                  is_reflexive, lattice_points, normal_fan,
+from toricfiber.analysis import facet_interior_sum
+from toricfiber.intlinalg import (in_sublattice_coords, lin_comb, mat_vec,
+                                  smith_normal_form, vadd, vdot, vsub)
+from toricfiber.polytopes import (Polytope, SubspaceChart, dual_polytope,
+                                  face_polytope, facet_count,
+                                  interior_lattice_points, is_reflexive,
+                                  lattice_points, normal_fan,
+                                  orthogonal_complement_basis,
                                   restriction_polytope)
 
 
@@ -182,3 +190,94 @@ def test_vh_consistency_big():
         tight = [n for n, c in p.facets if vdot(n, v) == -c]
         from toricfiber.intlinalg import saturate_columns
         assert len(saturate_columns(tight, 5)) == 5
+
+
+@st.composite
+def polytopes(draw):
+    """Hulls in Z^2..Z^4: a few points of [-2,2]^d, or of [-1,1]^k (k < d)
+    under an injective integer map plus a shift, which makes degenerate
+    polytopes whose equations have coefficients other than +-1."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d))
+    n = min(draw(st.integers(k + 1, k + 4)), 3 ** k)
+    if k == d:
+        return Polytope(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                                      min_size=n, max_size=n, unique=True)))
+    unit = st.integers(-1, 1)
+    embed = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=d,
+                          max_size=d)
+                 .filter(lambda m: smith_normal_form(m).rank == k))
+    shift = draw(st.tuples(*[unit] * d))
+    pts = draw(st.lists(st.tuples(*[unit] * k), min_size=n, max_size=n,
+                        unique=True))
+    return Polytope([vadd(shift, mat_vec(embed, q)) for q in pts])
+
+
+SEGMENT = Polytope([(0, 0, 0), (2, 4, 2)])
+TRIANGLE_IN_3_SPACE = Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+# x + y = 2z: the equation's last coefficient is -2
+HALF_SLOPE_TRIANGLE = Polytope([(0, 0, 0), (4, 0, 2), (0, 4, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes())
+@example(SEGMENT)
+@example(TRIANGLE_IN_3_SPACE)
+@example(HALF_SLOPE_TRIANGLE)
+@example(Polytope([(3, 1)]))
+def test_lattice_points_match_oracles(p):
+    pts = p.lattice_points()
+    assert pts == box_scan_points(p)
+    assert sorted(interior_lattice_points(p)) == sorted(chart_interior_points(p))
+    assert facet_interior_sum(p) == chart_facet_interior_sum(p)
+
+
+def test_facet_interior_sum_on_named_polytopes():
+    assert SEGMENT.dim == 1 and TRIANGLE_IN_3_SPACE.dim == 2
+    assert [e for e, _ in HALF_SLOPE_TRIANGLE.equations] in ([(1, 1, -2)],
+                                                            [(-1, -1, 2)])
+    # each edge of the doubled square holds one interior point; the plane
+    # x + y = 2z holds the points of even x + y, so the triangle's three
+    # edges hold 1, 1 and 3
+    assert facet_interior_sum(Polytope([(0, 0), (2, 0), (0, 2), (2, 2)])) == 4
+    assert facet_interior_sum(HALF_SLOPE_TRIANGLE) == 5
+    assert facet_interior_sum(SEGMENT) == 0
+    assert facet_interior_sum(Polytope([(3, 1)])) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_chart_matches_sublattice_coords(picks):
+    d = picks.draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    tau = picks.draw(st.lists(vec, max_size=d))
+    basis = tuple(orthogonal_complement_basis(tau, d))
+    origin = picks.draw(vec)
+    chart = SubspaceChart(origin, basis)
+    coeffs = picks.draw(st.tuples(*[st.integers(-4, 4)] * len(basis)))
+    step = lin_comb(coeffs, basis, d)
+    on_chart = vadd(origin, step)
+    off_span = vadd(origin, picks.draw(vec))
+    half = tuple(o + Fraction(x, 2) for o, x in zip(origin, step))
+    for point in (on_chart, off_span, half):
+        expected = in_sublattice_coords(list(basis), vsub(point, origin))
+        if expected is None:
+            with pytest.raises(ValueError):
+                chart.to_chart(point)
+        else:
+            assert chart.to_chart(point) == expected
+            assert chart.from_chart(expected) == point
+    assert chart.to_chart(on_chart) == coeffs
+
+
+def test_chart_needs_a_saturated_basis():
+    with pytest.raises(ValueError):
+        SubspaceChart((0, 0), ((2, 0),))
+    with pytest.raises(ValueError):
+        SubspaceChart((0, 0, 0), ((1, 1, 0), (1, -1, 0)))
+    with pytest.raises(ValueError):
+        SubspaceChart((0, 0), ((1, 0), (2, 0)))
+    chart = SubspaceChart((1, 1, 1), ((1, 1, 0), (0, 1, 0)))
+    assert chart.to_chart((2, 5, 1)) == (1, 3)
+    with pytest.raises(ValueError):
+        chart.to_chart((2, 5, 2))
