@@ -16,7 +16,7 @@ from .bundles import (FiberSection, FibredForm, HomogeneousForm,
                       xi_transition)
 from .fans import (Cone, Fan, fan_equal, fan_from_cones, fan_isomorphic,
                    singular_locus_cones, star, star_subdivide, zero_fan)
-from .intlinalg import (INFINITE, LatticeMap, QuotientLattice,
+from .intlinalg import (INFINITE, InvariantError, LatticeMap, QuotientLattice,
                         SmithDecomposition, cokernel_index, dual_map,
                         kernel_basis, quotient_lattice, section_of_surjection,
                         smith_normal_form)

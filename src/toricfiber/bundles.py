@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fans import Fan
-from .intlinalg import (LatticeMap, Vec, cokernel_index, dual_map, is_zero,
-                        mat_mul, mat_transpose, mat_vec, quotient_lattice,
-                        saturate_columns, section_of_surjection, vdot, vsub)
+from .intlinalg import (InvariantError, LatticeMap, Vec, cokernel_index,
+                        dual_map, is_zero, mat_mul, mat_transpose, mat_vec,
+                        quotient_lattice, saturate_columns,
+                        section_of_surjection, vdot, vsub)
 from .morphism import FanMap, RelativeStar
 from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
                         restriction_polytope, support_vertices)
@@ -279,7 +280,10 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     for y, c in restricted.terms:
         f = mat_vec(fiber_mat, y)
         b = mat_vec(base_mat, y)
-        assert (f, b) not in seen, "fibred splitting collided on two terms"
+        if (f, b) in seen:
+            raise InvariantError(
+                f"fibred form of tau {tau_idx} over sigma {sigma_idx}: two "
+                f"terms split to fiber {f} and base {b}")
         seen.add((f, b))
         groups.setdefault(f, []).append((b, y, c))
     return FibredForm(
@@ -391,8 +395,11 @@ def fibred_homogeneous_form(s: LaurentSection, p: Polytope, m: FanMap,
             for i in base_rays)
         # split identity per base ray: <m, v_k> = <xi^T m, phi(v_k)> + corr_k
         for pos, i in enumerate(base_rays):
-            assert vdot(e, m.source.rays[i]) == \
-                vdot(xi_t, m.phi.apply(m.source.rays[i])) + correction[pos]
+            ray = m.source.rays[i]
+            if vdot(e, ray) != vdot(xi_t, m.phi.apply(ray)) + correction[pos]:
+                raise InvariantError(
+                    f"fibred homogeneous form: the split identity fails on "
+                    f"ray {i} for the exponent {e}")
         xi_factors.append((e, target_exps, correction))
     return FibredHomogeneousForm(
         fiber_rays, base_rays,

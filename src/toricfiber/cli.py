@@ -635,7 +635,7 @@ def main():
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except (AssertionError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         click.echo(f"internal invariant violation: {exc}", err=True)
         sys.exit(2)
 

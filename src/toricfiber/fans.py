@@ -1,25 +1,24 @@
 """Rational polyhedral cones and fans.
 
-Cones are stored by primitive generators; fans keep a ray table plus
-index tuples, with the face closure computed on construction.  The
-pairwise intersection axiom is checked exhaustively for fans with at
-most 60 maximal cones (enough for desk-scale data; larger fans are
-trusted to their construction, e.g. star subdivision output).
+Cones are stored by primitive generators, and every membership question
+is answered from a cone's cached facet normals.  Fans keep a ray table
+plus index tuples, with the face closure computed on construction.
+Every fan is validated: a complete fan by a local certificate read off
+the facets of its maximal cones (`Fan._certificate_failure`), any other
+fan by intersecting each pair of maximal cones.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .geometry import cone_halfspaces, dual_description, intersect_cones
-from .intlinalg import (Vec, is_zero, is_primitive, mat_vec, primitivize,
-                        quotient_lattice, smith_normal_form, solve_rational,
-                        solve_unimodular, vadd, vdot)
-
-PAIRWISE_CHECK_LIMIT = 60
+from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_vec,
+                        primitivize, quotient_lattice, smith_normal_form,
+                        solve_unimodular, vdot)
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ class Cone:
         mat = [[g[i] for g in self.generators] for i in range(self.ambient_rank)]
         return smith_normal_form(mat).rank if self.generators else 0
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
     @cached_property
     def is_simplicial(self) -> bool:
         return self.dim == len(self.generators)
@@ -68,87 +63,65 @@ class Cone:
         """Index of the subgroup generated by the rays inside the span lattice."""
         if not self.is_simplicial:
             raise ValueError("multiplicity requires a simplicial cone")
-        if self.is_zero:
-            return 1
         mat = [[g[i] for g in self.generators] for i in range(self.ambient_rank)]
-        mult = 1
-        for d in smith_normal_form(mat).diagonal:
-            if d:
-                mult *= d
-        return mult
+        return prod(d for d in smith_normal_form(mat).diagonal if d)
 
     def relint_point(self) -> Vec:
         """Canonical lattice point in the relative interior: the ray sum."""
-        point = (0,) * self.ambient_rank
-        for g in self.generators:
-            point = vadd(point, g)
-        return point
+        return lin_comb([1] * len(self.generators), self.generators,
+                        self.ambient_rank)
 
-    def _simplicial_coords(self, v: Vec):
-        rows = [[g[i] for g in self.generators] for i in range(self.ambient_rank)]
-        sol = solve_rational(rows, v)
-        if sol is None:
+    @cached_property
+    def facets(self):
+        """(inward primitive normal, positions of the generators on it) for
+        each facet."""
+        return tuple((n, tuple(i for i, g in enumerate(self.generators)
+                               if vdot(n, g) == 0))
+                     for n in self.halfspaces[0])
+
+    def relint_face(self, v: Vec):
+        """Generator positions of the face whose relative interior holds v,
+        or None when v is outside the cone.
+
+        The face is cut out by the facets tight at v, so its generators are
+        those lying on every tight facet.
+        """
+        if any(vdot(e, v) for e in self.halfspaces[1]):
             return None
-        rebuilt = tuple(sum(sol[j] * Fraction(self.generators[j][i])
-                            for j in range(len(self.generators)))
-                        for i in range(self.ambient_rank))
-        if rebuilt != tuple(Fraction(x) for x in v):
-            return None
-        return sol
+        face = range(len(self.generators))
+        for n, on in self.facets:
+            side = vdot(n, v)
+            if side < 0:
+                return None
+            if side == 0:
+                face = [i for i in face if i in on]
+        return tuple(face)
 
     def contains(self, v: Vec) -> bool:
-        if self.is_zero:
-            return is_zero(v)
-        if self.is_simplicial:
-            sol = self._simplicial_coords(v)
-            return sol is not None and all(c >= 0 for c in sol)
-        normals, eqs = self.halfspaces
-        return (all(vdot(e, v) == 0 for e in eqs)
-                and all(vdot(n, v) >= 0 for n in normals))
+        return self.relint_face(v) is not None
 
     def contains_relint(self, v: Vec) -> bool:
-        if self.is_zero:
-            return is_zero(v)
-        if self.is_simplicial:
-            sol = self._simplicial_coords(v)
-            return sol is not None and all(c > 0 for c in sol)
-        normals, eqs = self.halfspaces
-        return (all(vdot(e, v) == 0 for e in eqs)
-                and all(vdot(n, v) > 0 for n in normals))
+        return self.relint_face(v) == tuple(range(len(self.generators)))
 
     def face_generator_sets(self):
-        """Generator index subsets spanning the faces, the cone included."""
-        if self.is_simplicial:
-            n = len(self.generators)
-            out = []
-            for mask in range(1 << n):
-                out.append(tuple(i for i in range(n) if mask & (1 << i)))
-            return out
-        found = set()
-
-        def descend(subset):
-            key = tuple(sorted(subset))
-            if key in found:
-                return
-            found.add(key)
-            gens = [self.generators[i] for i in subset]
-            if not gens:
-                return
-            normals, _ = cone_halfspaces(gens, self.ambient_rank)
-            for n in normals:
-                sub = [i for i in subset if vdot(n, self.generators[i]) == 0]
-                if len(sub) < len(subset):
-                    descend(sub)
-
-        descend(list(range(len(self.generators))))
-        found.add(())
+        """Generator index subsets spanning the faces, the cone included:
+        the intersections of the generator sets of the facets."""
+        found = {tuple(range(len(self.generators)))}
+        todo = list(found)
+        while todo:
+            face = todo.pop()
+            for _, on in self.facets:
+                sub = tuple(i for i in face if i in on)
+                if sub not in found:
+                    found.add(sub)
+                    todo.append(sub)
         return sorted(found, key=lambda s: (len(s), s))
 
 
 class Fan:
     """Face-closed collection of cones sharing a primitive ray table."""
 
-    def __init__(self, rank: int, rays, maximal_cones, validate: bool = True):
+    def __init__(self, rank: int, rays, maximal_cones):
         self.rank = int(rank)
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
         for r in self.rays:
@@ -168,10 +141,10 @@ class Fan:
         self._cones: dict[tuple[int, ...], Cone] = {}
         self._faces_of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._close_faces()
-        if validate:
-            self._validate_cones()
-            if len(self.maximal_cones) <= PAIRWISE_CHECK_LIMIT:
-                self._validate_intersections()
+        self._validate_cones()
+        self._complete = self._certificate_failure() == 0
+        if not self._complete:
+            self._validate_intersections()
 
     # -- construction ----------------------------------------------------
 
@@ -179,60 +152,93 @@ class Fan:
         return Cone(tuple(self.rays[i] for i in idx), self.rank)
 
     def _close_faces(self):
-        self._cones.setdefault((), Cone((), self.rank))
-        self._faces_of.setdefault((), set()).add(())
+        self._cones[()] = Cone((), self.rank)
+        self._faces_of[()] = {()}
         for top in self.maximal_cones:
-            cone = self._cone_from_indices(top)
-            self._cones.setdefault(top, cone)
-            faces = set()
-            for sub in cone.face_generator_sets():
-                face_idx = tuple(sorted(top[i] for i in sub))
-                faces.add(face_idx)
-                if face_idx not in self._cones:
-                    self._cones[face_idx] = self._cone_from_indices(face_idx)
-            existing = self._faces_of
+            cone = self._cones.setdefault(top, self._cone_from_indices(top))
+            faces = [tuple(top[i] for i in sub)
+                     for sub in cone.face_generator_sets()]
             for f in faces:
-                existing.setdefault(f, set()).add(f)
-                # faces of a face are recorded when we see the subsets below
-            for f in faces:
-                for g in faces:
-                    if set(g) <= set(f):
-                        # g <= f as index sets and both are faces of `top`;
-                        # for cones arising as faces this implies g is a face of f
-                        existing.setdefault(f, set()).add(g)
+                if f not in self._cones:
+                    self._cones[f] = self._cone_from_indices(f)
+                # between faces of one cone, inclusion of index sets is the
+                # face relation
+                self._faces_of.setdefault(f, set()).update(
+                    g for g in faces if set(g) <= set(f))
 
     def _validate_cones(self):
         for idx in self.maximal_cones:
             cone = self._cones[idx]
-            if len(cone.generators) != len(idx):
-                raise ValueError(f"cone {idx} lists a redundant ray")
             if cone.is_simplicial:
                 continue
-            if cone._extreme_rays() is None:
+            extreme = cone._extreme_rays()
+            if extreme is None:
                 raise ValueError(f"cone {idx} is not strongly convex")
+            if len(extreme) != len(idx):
+                raise ValueError(f"cone {idx} lists a redundant ray")
+
+    def _certificate_failure(self) -> int:
+        """The first failing step of the completeness certificate, or 0.
+
+        1. every maximal cone is full-dimensional;
+        2. every facet (as a ray index set) is a facet of exactly two
+           maximal cones, whose inward normals are opposite;
+        3. the ray sum p of the first maximal cone lies in no other one.
+
+        Soundness, by the degree-one argument for pseudomanifolds (Cox,
+        Little and Schenck, Toric Varieties; Ewald, Combinatorial Convexity
+        and Algebraic Geometry).  Take x in the relative interior of a face
+        G of a maximal cone, a ball B about x meeting only the faces that
+        contain x, and let deg(y) count the maximal cones having G as a
+        face and y in their interior.  A generic path in B leaves such a
+        cone through the relative interior of a facet F containing x, so
+        F contains G; by step 2 the partner across F, which also has G as
+        a face, is entered at the same time, and deg is constant on B.
+        For G = 0 (B the whole space) deg counts every maximal cone and is
+        1 near p by step 3: the interiors are disjoint and the cones cover
+        the space.  For any G, deg >= 1 near x, so no maximal cone without
+        the face G has interior points near x, and none contains x.  Hence
+        x has the same carrier face G in every maximal cone through it.
+        For two maximal cones and x in the relative interior of their
+        intersection K, G contains K and lies in both, so K = G is a face
+        of both.  Conversely, every complete fan passes the three steps.
+        """
+        if not self.maximal_cones:
+            return 0 if self.rank == 0 else 1
+        sides: dict[tuple[int, ...], list[Vec]] = {}
+        for idx in self.maximal_cones:
+            cone = self._cones[idx]
+            if cone.dim != self.rank:
+                return 1
+            for n, on in cone.facets:
+                sides.setdefault(tuple(idx[i] for i in on), []).append(n)
+        if any(len(ns) != 2 or ns[0] != tuple(-x for x in ns[1])
+               for ns in sides.values()):
+            return 2
+        first, *rest = self.maximal_cones
+        p = self._cones[first].relint_point()
+        if any(self._cones[idx].contains(p) for idx in rest):
+            return 3
+        return 0
 
     def _validate_intersections(self):
-        tops = [(idx, self._cones[idx]) for idx in self.maximal_cones]
-        for a in range(len(tops)):
-            for b in range(a + 1, len(tops)):
-                idx_a, cone_a = tops[a]
-                idx_b, cone_b = tops[b]
-                rays = intersect_cones(cone_a.halfspaces, cone_b.halfspaces,
-                                       self.rank)
-                common = []
-                for r in rays:
-                    if r not in self.rays:
-                        raise ValueError(
-                            f"cones {idx_a} and {idx_b} overlap off a face")
-                    common.append(self.rays.index(r))
-                face = tuple(sorted(common))
-                if not (set(face) <= set(idx_a) and set(face) <= set(idx_b)):
+        for idx_a, idx_b in itertools.combinations(self.maximal_cones, 2):
+            rays = intersect_cones(self._cones[idx_a].halfspaces,
+                                   self._cones[idx_b].halfspaces, self.rank)
+            common = []
+            for r in rays:
+                if r not in self.rays:
                     raise ValueError(
-                        f"cones {idx_a} and {idx_b} do not meet in a common face")
-                if face not in self._faces_of.get(idx_a, ()) or \
-                        face not in self._faces_of.get(idx_b, ()):
-                    raise ValueError(
-                        f"intersection of {idx_a} and {idx_b} is not a face of both")
+                        f"cones {idx_a} and {idx_b} overlap off a face")
+                common.append(self.rays.index(r))
+            face = tuple(sorted(common))
+            if not (set(face) <= set(idx_a) and set(face) <= set(idx_b)):
+                raise ValueError(
+                    f"cones {idx_a} and {idx_b} do not meet in a common face")
+            if face not in self._faces_of.get(idx_a, ()) or \
+                    face not in self._faces_of.get(idx_b, ()):
+                raise ValueError(
+                    f"intersection of {idx_a} and {idx_b} is not a face of both")
 
     # -- queries ----------------------------------------------------------
 
@@ -242,10 +248,6 @@ class Fan:
 
     def cone(self, idx) -> Cone:
         return self._cones[tuple(sorted(idx))]
-
-    def cones_by_dim(self, d: int) -> list[tuple[int, ...]]:
-        return [idx for idx in self.all_cone_indices
-                if self._cones[idx].dim == d]
 
     def has_cone(self, idx) -> bool:
         return tuple(sorted(idx)) in self._cones
@@ -260,10 +262,12 @@ class Fan:
         return [f for f in self._faces_of.get(idx, ()) if f != idx]
 
     def locate_relint(self, v: Vec):
-        """Index set of the unique cone whose relative interior contains v."""
-        for idx in self.all_cone_indices:
-            if self._cones[idx].contains_relint(v):
-                return idx
+        """Index set of the unique cone whose relative interior contains v,
+        or None when v is outside the support."""
+        for idx in self.maximal_cones or [()]:
+            face = self._cones[idx].relint_face(v)
+            if face is not None:
+                return tuple(idx[i] for i in face)
         return None
 
     def support_contains(self, v: Vec) -> bool:
@@ -279,19 +283,10 @@ class Fan:
         return True
 
     def is_complete(self) -> bool:
-        """Every maximal cone full-dimensional and ridges shared by two cones.
-
-        Sufficient for the pure simplicial fans in scope.
-        """
-        if not self.maximal_cones:
-            return self.rank == 0
-        if any(self._cones[idx].dim != self.rank for idx in self.maximal_cones):
-            return False
-        for ridge in self.cones_by_dim(self.rank - 1):
-            count = sum(1 for top in self.maximal_cones if self.is_face(ridge, top))
-            if count != 2:
-                return False
-        return True
+        """Does the support cover the whole space?  This is the result of
+        the certificate taken at construction, which holds for a fan
+        exactly when it is complete; the rank-0 fan is complete."""
+        return self._complete
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.rank + 1)
@@ -300,7 +295,7 @@ class Fan:
         return tuple(counts)
 
 
-def fan_from_cones(rank: int, cones, validate: bool = True) -> Fan:
+def fan_from_cones(rank: int, cones) -> Fan:
     """Fan from explicit generator lists; the ray table is collected."""
     rays: list[Vec] = []
     index: dict[Vec, int] = {}
@@ -319,11 +314,11 @@ def fan_from_cones(rank: int, cones, validate: bool = True) -> Fan:
     for c in idx_cones:
         if not any(set(c) < set(d) for d in idx_cones if d != c):
             keep.append(c)
-    return Fan(rank, rays, keep, validate=validate)
+    return Fan(rank, rays, keep)
 
 
 def zero_fan(rank: int) -> Fan:
-    return Fan(rank, [], [], validate=False)
+    return Fan(rank, [], [])
 
 
 def star(f: Fan, tau_idx) -> "StarFan":
@@ -369,22 +364,14 @@ def star_subdivide(f: Fan, r: Vec) -> Fan:
         cone = f.cone(idx)
         if not cone.is_simplicial:
             raise ValueError("star subdivision implemented for simplicial fans")
-        if not cone.contains(r):
+        support = cone.relint_face(r)
+        if support is None:
             new_maximal.append(idx)
             continue
-        sol = cone._simplicial_coords(r)
-        support = [idx[rays_pos] for rays_pos, coeff in enumerate(
-            _coeffs_in_generator_order(cone, idx, f, sol)) if coeff > 0]
         for drop in support:
-            kept = tuple(sorted([i for i in idx if i != drop] + [r_idx]))
+            kept = tuple(sorted([i for i in idx if i != idx[drop]] + [r_idx]))
             new_maximal.append(kept)
-    return Fan(f.rank, rays, new_maximal, validate=False)
-
-
-def _coeffs_in_generator_order(cone: Cone, idx, fan: Fan, sol):
-    """Reorder simplicial-solve coefficients to match the index tuple."""
-    order = {g: coeff for g, coeff in zip(cone.generators, sol)}
-    return [order[fan.rays[i]] for i in idx]
+    return Fan(f.rank, rays, new_maximal)
 
 
 def singular_locus_cones(f: Fan) -> list[tuple[int, ...]]:

@@ -33,6 +33,11 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+class InvariantError(ArithmeticError):
+    """An internal consistency check failed.  It is raised, never asserted,
+    so `python -O` keeps it; the CLI exits with code 2 on it."""
+
+
 def vec(*coords) -> Vec:
     return tuple(int(c) for c in coords)
 
@@ -453,11 +458,14 @@ def quotient_lattice(ambient_rank: int, sub) -> QuotientLattice:
 
 
 def section_of_surjection(f: LatticeMap) -> LatticeMap:
-    """A right inverse xi with f . xi = identity, via the SNF transforms."""
-    idx = cokernel_index(f)
-    if idx is INFINITE or idx != 1:
-        raise ValueError("map is not a surjection of lattices")
+    """A right inverse xi with f . xi = identity, via the SNF transforms.
+
+    f is onto exactly when its Smith form has one diagonal entry per
+    target row and every diagonal entry is 1.
+    """
     snf = smith_normal_form(f.matrix)
+    if snf.rank < f.target_rank or any(d != 1 for d in snf.diagonal):
+        raise ValueError("map is not a surjection of lattices")
     uinv = mat_inverse_unimodular([list(r) for r in snf.U])
     vinv = mat_inverse_unimodular([list(r) for r in snf.V])
     s, t = f.source_rank, f.target_rank

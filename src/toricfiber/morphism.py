@@ -15,8 +15,9 @@ from functools import cached_property
 
 from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
-from .intlinalg import (INFINITE, LatticeMap, Vec, cokernel_index,
-                        column_lattice_hnf, in_sublattice_coords, is_zero,
+from .intlinalg import (INFINITE, InvariantError, LatticeMap, Vec,
+                        cokernel_index, column_lattice_hnf,
+                        in_sublattice_coords, is_zero,
                         kernel_basis, lin_comb, primitivize, quotient_lattice,
                         saturate_columns, smith_normal_form, vdot, vsub)
 from .polytopes import (Polytope, RestrictedPolytope,
@@ -141,7 +142,9 @@ class FanMap:
         phi_img_cols = []
         for col in self.phi.columns():
             coords = in_sublattice_coords(basis, col)
-            assert coords is not None
+            if coords is None:
+                raise InvariantError(
+                    f"image lattice: phi column {col} is outside the image")
             phi_img_cols.append(coords)
         phi_img = LatticeMap.from_columns(phi_img_cols)
         embed = LatticeMap.from_columns(basis)
@@ -200,7 +203,7 @@ class FanMap:
     def index_of(self, sigma_idx) -> int:
         """Order of N/N_sigma modulo the image of N'/N'_sigma'.
 
-        Well-definedness across all members of the stratum is asserted.
+        Well-definedness across all members of the stratum is checked.
         """
         sigma_idx = tuple(sorted(sigma_idx))
         sps = self.sigma_prime_of(sigma_idx)
@@ -226,8 +229,14 @@ class FanMap:
             if idx is INFINITE:
                 raise ValueError("stratum member maps with infinite index")
             value = idx if value is None else value
-            assert idx == value
-        assert len(images) == 1, "index is not well defined across the stratum"
+            if idx != value:
+                raise InvariantError(
+                    f"index over sigma {sigma_idx}: stratum member {sp} has "
+                    f"index {idx}, an earlier one {value}")
+        if len(images) != 1:
+            raise InvariantError(
+                f"index over sigma {sigma_idx}: the stratum {sps} has "
+                f"{len(images)} different image lattices")
         return value
 
     # -- relative stars -------------------------------------------------------
@@ -253,7 +262,10 @@ class FanMap:
         tau_coords = []
         for t in tau_sat:
             c = in_sublattice_coords(pre_basis, t)
-            assert c is not None, "tau is not inside the sigma-preimage"
+            if c is None:
+                raise InvariantError(
+                    f"relative star: tau {tau_idx} is not inside the "
+                    f"preimage of sigma {sigma_idx}")
             tau_coords.append(c)
         quot = quotient_lattice(len(pre_basis), tau_coords)
         lifts = tuple(lin_comb(b, pre_basis, n_src) for b in quot.quotient_basis)
@@ -304,7 +316,10 @@ class FanMap:
             for subset in itertools.combinations(prim, size):
                 union = tuple(sorted(set(itertools.chain.from_iterable(subset))))
                 if self.source.has_cone(union):
-                    assert union in sps, "generated cone escapes the stratum"
+                    if union not in sps:
+                        raise InvariantError(
+                            f"fiber over sigma {sigma_idx}: the cone {union} "
+                            f"spanned by {subset} escapes the stratum")
                     intersections[subset] = self.relative_star(union, sigma_idx)
                 else:
                     intersections[subset] = EMPTY
@@ -350,8 +365,11 @@ class FanMap:
         index = {sigma: rep.index for sigma, rep in table}
         for sigma in index:
             for tau in fan.proper_faces(sigma):
-                assert index[tau] % index[sigma] == 0, \
-                    "face index fails the divisibility law"
+                if index[tau] % index[sigma]:
+                    raise InvariantError(
+                        f"divisibility law: index {index[tau]} of the face "
+                        f"{tau} is not a multiple of index {index[sigma]} "
+                        f"of {sigma}")
         return table
 
     def branch_locus(self):
@@ -384,7 +402,10 @@ class FanMap:
             fs = all_verts
             for i in sp:
                 fs &= mins[i]
-            assert fs, "empty face for a stratum cone"
+            if not fs:
+                raise InvariantError(
+                    f"lighted part over sigma {sigma_idx}: the stratum cone "
+                    f"{sp} minimises on no vertex")
             face_sets.setdefault(fs, []).append(sp)
         faces = []
         face_of_cone = {}

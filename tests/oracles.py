@@ -4,11 +4,14 @@ These deliberately avoid the package's double-description engine: hull
 membership goes through Caratheodory simplices with precomputed exact
 barycentric solvers.  The lattice-point oracles scan the whole bounding
 box, and the facet-interior count goes through face charts, the way the
-library did before it counted tight facets.
+library did before it counted tight facets.  Cone location scans every
+cone of a fan with exact solves on simplicial subcones, the way the
+library did before it read faces off facet normals.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from toricfiber.intlinalg import lin_comb, mat_mul, mat_transpose, vadd, vdot
 from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
@@ -117,3 +120,67 @@ def chart_facet_interior_sum(p):
     each facet through its chart."""
     return sum(len(chart_interior_points(face_polytope(p, inc)))
                for inc in p.facet_vertex_incidence())
+
+
+def _subcone_solvers(gens, d):
+    """For every linearly independent choice J of dim(cone) generators, an
+    integer matrix M and a positive integer q with M.(B_J x) = q x: the
+    scaled coordinates of a vector of span(J) on the generators J."""
+    rank = len(solveable_basis(gens, d))
+    solvers = []
+    for sub in itertools.combinations(gens, rank):
+        b = [[g[i] for g in sub] for i in range(d)]
+        bt = mat_transpose(b)
+        gram_inv = _invert(mat_mul(bt, b)) if sub else []
+        if gram_inv is None:
+            continue
+        proj = mat_mul(gram_inv, bt) if sub else []
+        q = lcm(*(x.denominator for row in proj for x in row)) if sub else 1
+        solvers.append((b, [[int(x * q) for x in row] for row in proj], q))
+    return solvers
+
+
+def relint_oracle(gens, d):
+    """Callable testing membership in the relative interior of cone(gens).
+
+    v is in the relative interior exactly when, for every generator g,
+    v - t g stays in the cone for some t > 0, and by Caratheodory that
+    holds when one simplicial subcone J keeps it for all small t: each
+    coordinate of v on J is positive, or zero with the coordinate of g
+    not positive.
+    """
+    solvers = _subcone_solvers(gens, d)
+
+    def coords(b, m, q, x):
+        c = [sum(r * xi for r, xi in zip(row, x)) for row in m]
+        rebuilt = [sum(b[i][j] * c[j] for j in range(len(c)))
+                   for i in range(d)]
+        return c if rebuilt == [q * xi for xi in x] else None
+
+    def member(v):
+        if not gens:
+            return all(x == 0 for x in v)
+        ok = set()
+        for b, m, q in solvers:
+            cv = coords(b, m, q, v)
+            if cv is None:
+                return False
+            for k, g in enumerate(gens):
+                cg = coords(b, m, q, g)
+                if all(x > 0 or (x == 0 and y <= 0) for x, y in zip(cv, cg)):
+                    ok.add(k)
+        return len(ok) == len(gens)
+
+    return member
+
+
+def scan_locate_relint(fan):
+    """Callable returning the index set of the first cone of `fan` whose
+    relative interior holds v, scanning every cone, or None."""
+    tests = [(idx, relint_oracle(fan.cone(idx).generators, fan.rank))
+             for idx in fan.all_cone_indices]
+
+    def locate(v):
+        return next((idx for idx, member in tests if member(v)), None)
+
+    return locate

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 
 import pytest
@@ -152,3 +154,21 @@ def test_pipeline_report_deterministic():
     assert "nonzero primitive cones: 59" in joined
     assert "moduli dimension: 2897" in joined
     assert "smooth: True" in joined
+
+
+def test_failed_invariant_exits_2_under_optimised_python():
+    # every stratum member gets its own image lattice, so index_of's
+    # well-definedness check must fail, with asserts stripped by -O
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from toricfiber import cli, morphism\n"
+            "morphism.column_lattice_hnf = lambda cols, rank: object()\n"
+            "sys.argv = ['toricfiber', 'morphism', 'fibers', '--sigma', 'r1']\n"
+            "cli.main()\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("internal invariant violation: index over "
+                                 "sigma (3,): the stratum [(7,), (8,)")

@@ -1,12 +1,16 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import scan_locate_relint
 from toricfiber import data
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_isomorphic,
                              singular_locus_cones, star, star_subdivide,
                              zero_fan)
-from toricfiber.intlinalg import mat_vec
+from toricfiber.intlinalg import is_zero, lin_comb, mat_vec, primitivize
+from toricfiber.polytopes import Polytope, normal_fan
 
 
 def test_base_fan_counts():
@@ -30,7 +34,7 @@ def test_total_fan_builds_and_is_singular():
     assert f.is_complete()
     assert not f.is_smooth()
     # face closure idempotent: rebuilding from all cones reproduces them
-    again = Fan(f.rank, f.rays, f.maximal_cones, validate=False)
+    again = Fan(f.rank, f.rays, f.maximal_cones)
     assert set(again.all_cone_indices) == set(f.all_cone_indices)
     # golden cone count, cross-checked by direct subset enumeration
     import itertools
@@ -50,6 +54,12 @@ def test_build_rejects_overlap():
     with pytest.raises(ValueError):
         Fan(2, [(1, 0), (0, 1), (1, 1), (1, -1)],
                   [[0, 1], [2, 3]])
+
+
+def test_build_rejects_redundant_ray():
+    # (1, 1) lies inside the cone over the other two rays
+    with pytest.raises(ValueError, match="redundant ray"):
+        Fan(2, [(1, 0), (1, 1), (0, 1)], [[0, 1, 2]])
 
 
 def test_multiplicities():
@@ -159,3 +169,164 @@ def test_zero_fan():
     f = zero_fan(3)
     assert f.all_cone_indices == [()]
     assert not f.is_complete()
+
+
+def test_locate_relint_matches_scan_of_every_cone():
+    octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+    cube_cones = normal_fan(octahedron)
+    assert not any(cube_cones.cone(c).is_simplicial
+                   for c in cube_cones.maximal_cones)
+    rng = random.Random(11)
+    for f in (data.total_fan(), data.base_fan(), cube_cones):
+        scan = scan_locate_relint(f)
+        for idx in f.all_cone_indices:
+            assert f.locate_relint(f.cone(idx).relint_point()) == idx
+            assert scan(f.cone(idx).relint_point()) == idx
+        for _ in range(60):
+            v = tuple(rng.randint(-3, 3) for _ in range(f.rank))
+            assert f.locate_relint(v) == scan(v)
+    # outside the support of a non-complete fan
+    quadrant = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
+    assert quadrant.locate_relint((-1, 1)) is None
+    assert quadrant.locate_relint((0, 3)) == (1,)
+
+
+def test_relint_face_of_a_square_cone():
+    square = Cone.make([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    on = {g: i for i, g in enumerate(square.generators)}
+    assert square.relint_face((0, 0, 1)) == tuple(range(4))
+    assert square.relint_face((1, 1, 2)) == tuple(sorted(
+        [on[(1, 0, 1)], on[(0, 1, 1)]]))
+    assert square.relint_face((0, 0, 0)) == ()
+    assert square.relint_face((2, 0, 1)) is None
+    assert not square.contains_relint((1, 1, 2)) and square.contains((1, 1, 2))
+
+
+# -- the completeness certificate against the pairwise check --------------
+
+def verdicts(rank, rays, cones):
+    """(first failing certificate step or 0, pairwise check passes) for a
+    collection of cones, built without the pairwise fallback."""
+    with mock.patch.object(Fan, "_validate_intersections", lambda self: None):
+        f = Fan(rank, rays, cones)
+    try:
+        Fan._validate_intersections(f)
+    except ValueError:
+        return f._certificate_failure(), False
+    return f._certificate_failure(), True
+
+
+START_FANS = {
+    2: [([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [0, 3]])],
+    3: [([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+          (0, 0, -1)],
+         [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)])],
+}
+
+
+@st.composite
+def subdivided_fans(draw):
+    """Complete simplicial fans: P^n or a cross-polytope fan after up to
+    three star subdivisions at random primitive vectors."""
+    rank = draw(st.sampled_from([2, 3]))
+    rays, cones = draw(st.sampled_from(START_FANS[rank]))
+    f = Fan(rank, rays, cones)
+    vec = st.tuples(*[st.integers(-3, 3)] * rank).filter(
+        lambda v: not is_zero(v))
+    for v in draw(st.lists(vec, max_size=3)):
+        f = star_subdivide(f, primitivize(v))
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivided_fans())
+def test_certificate_accepts_subdivided_complete_fans(f):
+    assert verdicts(f.rank, f.rays, f.maximal_cones) == (0, True)
+    assert f.is_complete()
+
+
+@settings(max_examples=100, deadline=None)
+@given(subdivided_fans(), st.data())
+def test_holed_fans_are_valid_and_not_complete(f, picks):
+    tops = list(f.maximal_cones)
+    drop = picks.draw(st.lists(st.sampled_from(tops), min_size=1,
+                               max_size=len(tops) - 1, unique=True))
+    kept = [c for c in tops if c not in drop]
+    step, pairwise = verdicts(f.rank, f.rays, kept)
+    assert step == 2 and pairwise
+    assert not Fan(f.rank, f.rays, kept).is_complete()
+
+
+@settings(max_examples=150, deadline=None)
+@given(subdivided_fans(), st.data())
+def test_extra_overlapping_cone_is_rejected(f, picks):
+    n = f.rank
+    extra = picks.draw(st.lists(st.integers(0, len(f.rays) - 1), min_size=n,
+                                max_size=n, unique=True).map(sorted))
+    cone = Cone(tuple(f.rays[i] for i in extra), n)
+    assume(cone.dim == n and tuple(extra) not in f.maximal_cones)
+    cones = list(f.maximal_cones) + [extra]
+    step, pairwise = verdicts(n, f.rays, cones)
+    assert step != 0 and not pairwise
+    with pytest.raises(ValueError):
+        Fan(n, f.rays, cones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subdivided_fans(), st.data())
+def test_folded_pair_is_rejected(f, picks):
+    # replace the partner of a cone across one of its facets by a cone over
+    # the same facet on the same side, inside the first cone
+    top = picks.draw(st.sampled_from(f.maximal_cones))
+    apex = picks.draw(st.sampled_from(top))
+    facet = [i for i in top if i != apex]
+    partner = next(c for c in f.maximal_cones
+                   if c != top and set(facet) <= set(c))
+    w = primitivize(lin_comb([1] * f.rank, [f.rays[i] for i in top], f.rank))
+    rays = list(f.rays)
+    if w not in rays:
+        rays.append(w)
+    folded = sorted(facet + [rays.index(w)])
+    cones = [c for c in f.maximal_cones if c != partner] + [folded]
+    step, pairwise = verdicts(f.rank, rays, cones)
+    assert step == 2 and not pairwise
+    with pytest.raises(ValueError):
+        Fan(f.rank, rays, cones)
+
+
+def test_fold_that_pairs_every_ray_fails_the_orientation_step():
+    # a closed chain of plane cones turning back at (-1, 2) and at (1, 2):
+    # every ray lies in two cones and the ray sum (0, -2) of the first cone
+    # is covered once, but the cones overlap between the two fold rays
+    rays = [(-1, 0), (1, -2), (1, 0), (-1, 2), (1, 2)]
+    cones = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]
+    assert verdicts(2, rays, cones) == (2, False)
+    with pytest.raises(ValueError):
+        Fan(2, rays, cones)
+
+
+def test_pentagram_double_cover_fails_only_the_degree_step():
+    rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+    cones = [[i, (i + 1) % 5] for i in range(5)]
+    assert verdicts(2, rays, cones) == (3, False)
+    with pytest.raises(ValueError, match="overlap|common face|not a face"):
+        Fan(2, rays, cones)
+
+
+def test_large_overlapping_fan_is_rejected():
+    # the total fan subdivided at two resolution rays and at the ray sums of
+    # three maximal cones those leave alone: 54 + 10 + 10 + 3 * 4 cones
+    g = data.total_fan()
+    for name in ("b3'", "b1'"):
+        g = star_subdivide(g, data.RESOLUTION_RAYS[name])
+    split = [c for c in g.maximal_cones if c in data.total_fan().maximal_cones]
+    for c in split[:3]:
+        g = star_subdivide(g, primitivize(g.cone(c).relint_point()))
+    assert len(g.maximal_cones) == 86 and g.is_complete()
+    # put the last of the three back over its five pieces
+    with pytest.raises(ValueError, match="do not meet in a common face"):
+        Fan(5, g.rays, list(g.maximal_cones) + [split[2]])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricfiber import intlinalg
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   column_lattice_hnf, dual_map, kernel_basis,
                                   lattice_intersection, mat_det,
@@ -89,6 +90,23 @@ def test_section_of_surjection():
     assert section_of_surjection(ident).matrix == ident.matrix
     with pytest.raises(ValueError):
         section_of_surjection(LatticeMap.from_rows([[2]]))
+    wide = LatticeMap.from_rows([[2, 3]])
+    assert wide.compose(section_of_surjection(wide)).matrix == ((1,),)
+    for not_onto in ([[2, 4]], [[1, 2], [2, 4]], [[1], [0]]):
+        with pytest.raises(ValueError):
+            section_of_surjection(LatticeMap.from_rows(not_onto))
+
+
+def test_section_of_surjection_takes_one_smith_form(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    section_of_surjection(PROJECTION)
+    assert len(calls) == 1
 
 
 def test_dual_map_pairing():
