@@ -144,7 +144,7 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
             y = chart.to_chart(e)
         except ValueError:
             continue
-        if restriction.polytope.contains(y):
+        if restriction.contains(y):
             kept[y] = c
     return LaurentSection.from_dict(kept), restriction
 

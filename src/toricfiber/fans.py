@@ -137,10 +137,9 @@ class Fan:
             if any(i < 0 or i >= len(self.rays) for i in idx):
                 raise ValueError("cone refers to a missing ray")
             maximal.append(idx)
-        self.maximal_cones = tuple(sorted(set(maximal)))
         self._cones: dict[tuple[int, ...], Cone] = {}
         self._faces_of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        self._close_faces()
+        self._close_faces(sorted(set(maximal)))
         self._validate_cones()
         self._complete = self._certificate_failure() == 0
         if not self._complete:
@@ -151,10 +150,16 @@ class Fan:
     def _cone_from_indices(self, idx) -> Cone:
         return Cone(tuple(self.rays[i] for i in idx), self.rank)
 
-    def _close_faces(self):
+    def _close_faces(self, listed):
+        """Close the listed cones under faces; the maximal cones are the
+        listed ones that are not a proper face of another.  Larger cones go
+        first, so a listed face of one of them is already closed."""
         self._cones[()] = Cone((), self.rank)
         self._faces_of[()] = {()}
-        for top in self.maximal_cones:
+        proper = set()
+        for top in sorted(listed, key=len, reverse=True):
+            if top in proper:
+                continue
             cone = self._cones.setdefault(top, self._cone_from_indices(top))
             faces = [tuple(top[i] for i in sub)
                      for sub in cone.face_generator_sets()]
@@ -165,6 +170,8 @@ class Fan:
                 # face relation
                 self._faces_of.setdefault(f, set()).update(
                     g for g in faces if set(g) <= set(f))
+            proper.update(f for f in faces if f != top)
+        self.maximal_cones = tuple(c for c in listed if c not in proper)
 
     def _validate_cones(self):
         for idx in self.maximal_cones:
@@ -308,13 +315,8 @@ def fan_from_cones(rank: int, cones) -> Fan:
                 index[p] = len(rays)
                 rays.append(p)
             idx.append(index[p])
-        idx_cones.append(tuple(sorted(idx)))
-    # drop cones that are faces of others
-    keep = []
-    for c in idx_cones:
-        if not any(set(c) < set(d) for d in idx_cones if d != c):
-            keep.append(c)
-    return Fan(rank, rays, keep)
+        idx_cones.append(idx)
+    return Fan(rank, rays, idx_cones)
 
 
 def zero_fan(rank: int) -> Fan:

@@ -2,7 +2,7 @@
 
 The single engine here converts between H- and V-representations of
 rational cones; polytopes ride along through homogenization.  All
-arithmetic is integer / Fraction exact.  Intended scale: ambient
+arithmetic is exact and integer.  Intended scale: ambient
 dimension <= 6-ish and a few dozen constraints, which covers fans and
 desk-size lattice polytopes comfortably.
 """
@@ -96,18 +96,6 @@ def cone_halfspaces(generators, dim: int):
         return [], ident
     normals, eqs = dual_description(generators, [], dim)
     return normals, eqs
-
-
-def cone_extreme_rays(generators, dim: int):
-    """Extreme rays of cone(generators), primitive and deduplicated."""
-    gens = [primitivize(g) for g in generators if not is_zero(g)]
-    if not gens:
-        return []
-    normals, eqs = cone_halfspaces(gens, dim)
-    rays, lin = dual_description(normals, eqs, dim)
-    if lin:
-        raise ValueError("cone is not strongly convex")
-    return rays
 
 
 def intersect_cones(halfspaces_a, halfspaces_b, dim: int):

@@ -8,7 +8,8 @@ breaking so golden tests stay stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -69,17 +70,12 @@ def is_primitive(a: Vec) -> bool:
     return vgcd(a) == 1
 
 
-def primitivize(a):
-    """Scale a nonzero rational/integer vector to its primitive integer ray."""
-    fracs = [Fraction(x) for x in a]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = vgcd(ints)
+def primitivize(a) -> Vec:
+    """Scale a nonzero integer vector to its primitive integer ray."""
+    g = vgcd(a)
     if g == 0:
         raise ValueError("cannot primitivize the zero vector")
-    return tuple(x // g for x in ints)
+    return tuple(a) if g == 1 else tuple(x // g for x in a)
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -103,26 +99,25 @@ def mat_transpose(a):
 
 
 def mat_det(a) -> int:
-    """Determinant of a square integer matrix (fraction-free Gauss)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    if det.denominator != 1:
-        raise ArithmeticError(f"determinant {det} is not an integer")
-    return int(det)
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968): every division is exact."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            m[i] = [0] * (k + 1) + [(x * pk - mik * y) // prev
+                                    for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
+        prev = pk
+    return sign * m[-1][-1] if n else 1
 
 
 def lin_comb(coeffs, vectors, rank: int) -> Vec:
@@ -134,28 +129,19 @@ def lin_comb(coeffs, vectors, rank: int) -> Vec:
     return tuple(out)
 
 
+# No library caller: perfbench/tracing.py traces this name.
 def mat_inverse_unimodular(a):
-    """Exact inverse of a matrix with determinant +-1, else ArithmeticError."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ArithmeticError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    """Exact inverse of a matrix with determinant +-1, else ArithmeticError:
+    V^-1 U^-1 from one Smith form a = U S V."""
+    snf = smith_normal_form(a)
+    if snf.rank < len(a):
+        raise ArithmeticError("matrix is singular")
+    if any(d != 1 for d in snf.diagonal):
         raise ArithmeticError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    return mat_mul(snf.Vinv, snf.Uinv)
 
 
+# No library caller: perfbench/tracing.py traces this name.
 def solve_rational(a, b):
     """Solve a x = b exactly over Q; returns None if inconsistent.
 
@@ -194,16 +180,21 @@ def solve_rational(a, b):
 def solve_unimodular(a, t):
     """The integer U with U a = t and |det U| = 1, or None.
 
-    Solved row by row over Q (row i of U solves a^T x = row i of t), so
-    when `a` is invertible U is unique.
+    Through the Smith form a = P S Q: U P S = t Q^-1, so column j of
+    t Q^-1 is d_j times column j of W = U P and vanishes past the rank,
+    and U = W P^-1.  U is unique when `a` has full row rank; below full
+    row rank the answer is None.
     """
-    at = mat_transpose(a)
-    u = []
-    for row in t:
-        sol = solve_rational(at, row)
-        if sol is None or any(s.denominator != 1 for s in sol):
+    snf = smith_normal_form(a)
+    n = len(a)
+    if snf.rank < n:
+        return None
+    w = []
+    for row in mat_mul(t, snf.Vinv):
+        if any(row[n:]) or any(x % d for x, d in zip(row, snf.diagonal)):
             return None
-        u.append([int(s) for s in sol])
+        w.append([x // d for x, d in zip(row, snf.diagonal)])
+    u = mat_mul(w, snf.Uinv)
     return u if abs(mat_det(u)) == 1 else None
 
 
@@ -261,22 +252,83 @@ def dual_map(f: LatticeMap) -> LatticeMap:
     return LatticeMap.from_rows(mat_transpose([list(r) for r in f.matrix]))
 
 
+_SWAP, _ADD, _NEG = range(3)
+
+
+def _replay(n: int, ops) -> tuple[tuple[int, ...], ...]:
+    """The identity of size n after the recorded row operations: (_SWAP,
+    i, j), (_ADD, src, dst, k) for row[dst] += k * row[src], (_NEG, i)."""
+    m = _identity(n)
+    for op in ops:
+        if op[0] == _SWAP:
+            m[op[1]], m[op[2]] = m[op[2]], m[op[1]]
+        elif op[0] == _ADD:
+            _, src, dst, k = op
+            m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+        else:
+            m[op[1]] = [-x for x in m[op[1]]]
+    return tuple(map(tuple, m))
+
+
+def _inverse_transposed(ops):
+    """E^-T for each recorded row operation E, in the same order; for a
+    column operation F, recorded as F^T, this is F^-1."""
+    return [(_ADD, op[2], op[1], -op[3]) if op[0] == _ADD else op for op in ops]
+
+
+def _transposed(m):
+    return tuple(zip(*m))
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A = U . S . V with U, V unimodular and S diagonal, d_i | d_{i+1}."""
+    """A = U . S . V with U, V unimodular and S diagonal, d_i | d_{i+1};
+    Uinv and Vinv are the inverses of U and V.
 
-    U: tuple[tuple[int, ...], ...]
+    The reduction records its elementary row operations E and column
+    operations F, S = E_k ... E_1 A F_1 ... F_l.  Each transform is built
+    on first use by replaying them on an identity: U^-1 = E_k ... E_1
+    takes the row operations as they are, the transpose of
+    V^-1 = F_1 ... F_l the column operations as row operations, and U^T
+    and V the same lists with every addition reversed
+    (`_inverse_transposed`).  A caller that reads only the diagonal builds
+    none of them.
+    """
+
     S: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
     diagonal: tuple[int, ...]
+    _row_ops: list = field(repr=False, compare=False)
+    _col_ops: list = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    @cached_property
+    def U(self) -> tuple[tuple[int, ...], ...]:
+        return _transposed(_replay(len(self.S),
+                                   _inverse_transposed(self._row_ops)))
+
+    @cached_property
+    def Uinv(self) -> tuple[tuple[int, ...], ...]:
+        return _replay(len(self.S), self._row_ops)
+
+    @cached_property
+    def V(self) -> tuple[tuple[int, ...], ...]:
+        return _replay(self._cols, _inverse_transposed(self._col_ops))
+
+    @cached_property
+    def Vinv(self) -> tuple[tuple[int, ...], ...]:
+        return _transposed(_replay(self._cols, self._col_ops))
+
+    @property
+    def _cols(self) -> int:
+        return len(self.S[0]) if self.S else 0
+
 
 def smith_normal_form(matrix) -> SmithDecomposition:
-    """Smith normal form with transforms, A = U S V exactly.
+    """Smith normal form with transforms and their inverses, A = U S V
+    exactly.
 
     Pivot selection: smallest absolute nonzero entry of the working
     submatrix, ties broken in row-major order.
@@ -284,42 +336,35 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     a = [[int(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    # U and V accumulate the inverses of the row/column operations applied
-    # to the working matrix, preserving A = U * work * V throughout.
-    u = _identity(rows)
-    v = _identity(cols)
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            for r in u:
-                r[i], r[j] = r[j], r[i]
+            row_ops.append((_SWAP, i, j))
 
     def swap_cols(i, j):
         if i != j:
             for r in a:
                 r[i], r[j] = r[j], r[i]
-            v[i], v[j] = v[j], v[i]
+            col_ops.append((_SWAP, i, j))
 
     def add_row(src, dst, k):
-        # work[dst] += k * work[src]  =>  U[:,src] -= k * U[:,dst]
+        # work[dst] += k * work[src]
         if k:
-            for c in range(cols):
-                a[dst][c] += k * a[src][c]
-            for r in u:
-                r[src] -= k * r[dst]
+            a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+            row_ops.append((_ADD, src, dst, k))
 
     def add_col(src, dst, k):
-        # work[:,dst] += k * work[:,src]  =>  V[src,:] -= k * V[dst,:]
+        # work[:,dst] += k * work[:,src]
         if k:
             for r in a:
                 r[dst] += k * r[src]
-            v[src] = [x - k * y for x, y in zip(v[src], v[dst])]
+            col_ops.append((_ADD, src, dst, k))
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        for r in u:
-            r[i] = -r[i]
+        row_ops.append((_NEG, i))
 
     t = 0
     limit = min(rows, cols)
@@ -366,13 +411,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         t += 1
 
     diag = tuple(a[i][i] if i < cols else 0 for i in range(limit))
-    snf = SmithDecomposition(
-        U=tuple(tuple(r) for r in u),
-        S=tuple(tuple(r) for r in a),
-        V=tuple(tuple(r) for r in v),
-        diagonal=diag,
-    )
-    return snf
+    return SmithDecomposition(tuple(map(tuple, a)), diag, row_ops, col_ops)
 
 
 def cokernel_index(f: LatticeMap):
@@ -390,9 +429,8 @@ def cokernel_index(f: LatticeMap):
 def kernel_basis(f: LatticeMap) -> list[Vec]:
     """Basis of ker(f) in the source lattice; the result is saturated."""
     snf = smith_normal_form(f.matrix)
-    vinv = mat_inverse_unimodular([list(r) for r in snf.V])
-    n = f.source_rank
-    return [tuple(vinv[i][j] for i in range(n)) for j in range(snf.rank, n)]
+    return [tuple(row[j] for row in snf.Vinv)
+            for j in range(snf.rank, f.source_rank)]
 
 
 @dataclass(frozen=True)
@@ -400,15 +438,15 @@ class QuotientLattice:
     """Z^ambient / span(sub), described by a compatible basis change.
 
     `quotient_basis` lifts a basis of the free part back to the ambient
-    lattice; `torsion` lists the invariant factors > 1.
+    lattice; `torsion` lists the invariant factors > 1.  `_projection`
+    holds the rows of U^-1 that give coordinates in the free part.
     """
 
     ambient_rank: int
     sublattice_basis: tuple[Vec, ...]
     quotient_basis: tuple[Vec, ...]
     torsion: tuple[int, ...]
-    _uinv: tuple[tuple[int, ...], ...]
-    _sub_count: int
+    _projection: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -416,18 +454,7 @@ class QuotientLattice:
 
     def project(self, x: Vec) -> Vec:
         """Coordinates of x in the free part of the quotient."""
-        y = mat_vec(self._uinv, x)
-        return tuple(y[self._sub_count:])
-
-    def project_with_torsion(self, x: Vec):
-        y = mat_vec(self._uinv, x)
-        tor = tuple(y[i] % d for i, d in enumerate(self.torsion_factors_all())
-                    if d > 1)
-        return tuple(y[self._sub_count:]), tor
-
-    def torsion_factors_all(self) -> tuple[int, ...]:
-        pad = [1] * (self._sub_count - len(self.torsion))
-        return tuple(sorted(pad + list(self.torsion)))
+        return mat_vec(self._projection, x)
 
 
 def quotient_lattice(ambient_rank: int, sub) -> QuotientLattice:
@@ -435,25 +462,20 @@ def quotient_lattice(ambient_rank: int, sub) -> QuotientLattice:
     sub = [tuple(int(x) for x in s) for s in sub]
     if not sub:
         ident = tuple(tuple(r) for r in _identity(ambient_rank))
-        basis = tuple(tuple(r[i] for r in ident) for i in range(ambient_rank))
-        return QuotientLattice(ambient_rank, (), basis, (), ident, 0)
+        return QuotientLattice(ambient_rank, (), ident, (), ident)
     mat = [[s[i] for s in sub] for i in range(ambient_rank)]  # columns = sub
     snf = smith_normal_form(mat)
     k = len(sub)
     if snf.rank < k:
         raise ValueError("sublattice vectors are dependent")
-    u = [list(r) for r in snf.U]
-    uinv = mat_inverse_unimodular(u)
-    quotient = tuple(tuple(u[i][j] for i in range(ambient_rank))
+    quotient = tuple(tuple(row[j] for row in snf.U)
                      for j in range(k, ambient_rank))
-    torsion = tuple(d for d in snf.diagonal if d > 1)
     return QuotientLattice(
         ambient_rank=ambient_rank,
         sublattice_basis=tuple(sub),
         quotient_basis=quotient,
-        torsion=torsion,
-        _uinv=tuple(tuple(r) for r in uinv),
-        _sub_count=k,
+        torsion=tuple(d for d in snf.diagonal if d > 1),
+        _projection=snf.Uinv[k:],
     )
 
 
@@ -466,12 +488,10 @@ def section_of_surjection(f: LatticeMap) -> LatticeMap:
     snf = smith_normal_form(f.matrix)
     if snf.rank < f.target_rank or any(d != 1 for d in snf.diagonal):
         raise ValueError("map is not a surjection of lattices")
-    uinv = mat_inverse_unimodular([list(r) for r in snf.U])
-    vinv = mat_inverse_unimodular([list(r) for r in snf.V])
-    s, t = f.source_rank, f.target_rank
-    splus = [[1 if i == j else 0 for j in range(t)] for i in range(s)]
-    xi = mat_mul(mat_mul(vinv, splus), uinv)
-    return LatticeMap.from_rows(xi)
+    # xi = V^-1 S^+ U^-1, and S^+ keeps the first t columns of V^-1
+    t = f.target_rank
+    return LatticeMap.from_rows(mat_mul([row[:t] for row in snf.Vinv],
+                                        snf.Uinv))
 
 
 def column_lattice_hnf(columns, ambient_rank: int) -> tuple[Vec, ...]:
@@ -520,51 +540,50 @@ def saturate_columns(columns, ambient_rank: int) -> list[Vec]:
     return [tuple(u[i][j] for i in range(ambient_rank)) for j in range(r)]
 
 
-def in_sublattice_coords(basis, x: Vec):
-    """Coordinates of x in terms of a sublattice basis, or None.
+@dataclass(frozen=True)
+class SublatticeCoords:
+    """Coordinates on the lattice spanned by independent vectors `basis`.
 
-    Exact: returns None when x is outside the Q-span or the coordinates
-    are non-integral.
+    `left_inverse` is an integer L with L B = scale I, B having the basis
+    as columns.  It is read off one Smith form B = U S V as
+    L = V^-1 (scale S^+) U^-1, scale being the largest invariant factor
+    d_k; the scale is 1 exactly when the basis spans a saturated
+    sublattice.
     """
-    if not basis:
-        return () if is_zero(x) else None
-    rows = [[b[i] for b in basis] for i in range(len(x))]
-    sol = solve_rational(rows, x)
-    if sol is None:
-        return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    # verify (solve_rational ignores redundant rows only when consistent)
-    if tuple(sum(int(sol[j]) * basis[j][i] for j in range(len(basis)))
-             for i in range(len(x))) != tuple(x):
-        return None
-    return tuple(int(s) for s in sol)
+
+    basis: tuple[Vec, ...]
+    left_inverse: tuple[Vec, ...]
+    scale: int
+
+    @classmethod
+    def of(cls, basis) -> "SublatticeCoords":
+        basis = tuple(tuple(int(x) for x in b) for b in basis)
+        if not basis:
+            return cls((), (), 1)
+        k = len(basis)
+        snf = smith_normal_form(list(zip(*basis)))
+        if snf.rank < k:
+            raise ValueError("basis vectors are dependent")
+        scale = snf.diagonal[-1]
+        scaled = [[scale // d * x for x in row]
+                  for d, row in zip(snf.diagonal, snf.Uinv)]
+        return cls(basis, tuple(map(tuple, mat_mul(snf.Vinv, scaled))), scale)
+
+    def __call__(self, x):
+        """The c with lin_comb(c, basis) == x, or None when x is not on the
+        lattice."""
+        # int() makes non-integral coordinates fail the final check
+        c = [int(y) for y in mat_vec(self.left_inverse, x)]
+        if self.scale != 1:
+            if any(y % self.scale for y in c):
+                return None
+            c = [y // self.scale for y in c]
+        c = tuple(c)
+        return c if lin_comb(c, self.basis, len(x)) == tuple(x) else None
 
 
-def lattice_intersection(basis_a, basis_b, ambient_rank: int) -> list[Vec]:
-    """Basis of the intersection of two sublattices of Z^n."""
-    if not basis_a or not basis_b:
-        return []
-    cols = [list(a) for a in basis_a] + [[-x for x in b] for b in basis_b]
-    mat = [[c[i] for c in cols] for i in range(ambient_rank)]
-    ker = kernel_basis(LatticeMap.from_rows(mat))
-    gens = []
-    for k in ker:
-        g = lin_comb(k[:len(basis_a)], basis_a, ambient_rank)
-        if not is_zero(g):
-            gens.append(g)
-    return [tuple(b) for b in column_lattice_hnf(gens, ambient_rank)]
-
-
-def sublattice_index(basis_super, basis_sub, ambient_rank: int):
-    """[super : sub] for sub a finite-index sublattice of super."""
-    coords = []
-    for s in basis_sub:
-        c = in_sublattice_coords(basis_super, s)
-        if c is None:
-            raise ValueError("not a sublattice")
-        coords.append(c)
-    if len(basis_sub) < len(basis_super):
-        return INFINITE
-    mat = [[coords[j][i] for j in range(len(coords))] for i in range(len(basis_super))]
-    return cokernel_index(LatticeMap.from_rows(mat))
+def in_sublattice_coords(basis, x: Vec):
+    """Coordinates of x in terms of an independent sublattice basis, or
+    None when x is off the sublattice.  To map many vectors on one basis,
+    build its `SublatticeCoords` once."""
+    return SublatticeCoords.of(basis)(x)

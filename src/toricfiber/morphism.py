@@ -15,9 +15,9 @@ from functools import cached_property
 
 from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
-from .intlinalg import (INFINITE, InvariantError, LatticeMap, Vec,
-                        cokernel_index, column_lattice_hnf,
-                        in_sublattice_coords, is_zero,
+from .intlinalg import (INFINITE, InvariantError, LatticeMap,
+                        QuotientLattice, SublatticeCoords, Vec,
+                        cokernel_index, column_lattice_hnf, is_zero,
                         kernel_basis, lin_comb, primitivize, quotient_lattice,
                         saturate_columns, smith_normal_form, vdot, vsub)
 from .polytopes import (Polytope, RestrictedPolytope,
@@ -90,6 +90,17 @@ class FibrationCertificate:
     skeleton_onto: bool
 
 
+@dataclass
+class _Stratum:
+    """Lattice data shared by every source cone over one image cone sigma:
+    N/N_sigma, the preimage phi^-1(N_sigma) with its coordinate map, and
+    the preimage coordinates of source rays, filled in as they are used."""
+
+    q_sigma: QuotientLattice
+    preimage: SublatticeCoords
+    ray_coords: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class LightedFace:
     vertex_indices: tuple[int, ...]
@@ -114,6 +125,7 @@ class FanMap:
         self.phi = phi
         self.source = source
         self.target = target
+        self._strata: dict[tuple[int, ...], _Stratum] = {}
 
     # -- image ------------------------------------------------------------
 
@@ -126,6 +138,7 @@ class FanMap:
         if r == n:
             return self.target, self.phi, LatticeMap.identity(n)
         basis = [tuple(snf.U[i][j] for i in range(n)) for j in range(r)]
+        in_image = SublatticeCoords.of(basis)
         cones = []
         span_rows = orthogonal_complement_basis(basis, n)
         for idx in self.target.maximal_cones or [()]:
@@ -135,13 +148,13 @@ class FanMap:
                 list(normals), list(eqs) + span_rows, n)
             gens = []
             for ray in rays:
-                coords = in_sublattice_coords(basis, ray)
+                coords = in_image(ray)
                 if coords is not None and not is_zero(coords):
                     gens.append(coords)
             cones.append(gens)
         phi_img_cols = []
         for col in self.phi.columns():
-            coords = in_sublattice_coords(basis, col)
+            coords = in_image(col)
             if coords is None:
                 raise InvariantError(
                     f"image lattice: phi column {col} is outside the image")
@@ -183,11 +196,38 @@ class FanMap:
     def sigma_of(self, sigma_prime_idx):
         return self._sigma_of[tuple(sorted(sigma_prime_idx))]
 
+    @cached_property
+    def _members(self) -> dict:
+        """Image-fan cone -> the source cones over it, in source cone order."""
+        out = {}
+        for sp, s in self._sigma_of.items():
+            out.setdefault(s, []).append(sp)
+        return out
+
     def sigma_prime_of(self, sigma_idx) -> list[tuple[int, ...]]:
         sigma_idx = tuple(sorted(sigma_idx))
         if not self.image_fan().has_cone(sigma_idx):
             raise ValueError("sigma is not a cone of the image fan")
-        return [sp for sp, s in self._sigma_of.items() if s == sigma_idx]
+        return list(self._members.get(sigma_idx, ()))
+
+    def _stratum(self, sigma_idx) -> _Stratum:
+        """The lattice data of the stratum over sigma, built once."""
+        if sigma_idx not in self._strata:
+            fan = self.image_fan()
+            n_src = self.source.rank
+            q_sigma = quotient_lattice(fan.rank, saturate_columns(
+                [fan.rays[i] for i in sigma_idx], fan.rank))
+            # preimage of span(sigma): kernel of projection-after-phi
+            if q_sigma.rank == 0:
+                pre_basis = [tuple(int(i == j) for j in range(n_src))
+                             for i in range(n_src)]
+            else:
+                proj_cols = [q_sigma.project(col)
+                             for col in self._phi_img.columns()]
+                pre_basis = kernel_basis(LatticeMap.from_columns(proj_cols))
+            self._strata[sigma_idx] = _Stratum(
+                q_sigma, SublatticeCoords.of(pre_basis))
+        return self._strata[sigma_idx]
 
     def primitive_cones(self, sigma_idx) -> list[tuple[int, ...]]:
         sigma_idx = tuple(sorted(sigma_idx))
@@ -209,9 +249,7 @@ class FanMap:
         sps = self.sigma_prime_of(sigma_idx)
         if not sps:
             raise ValueError("no source cones lie over sigma")
-        fan = self.image_fan()
-        q_sigma = quotient_lattice(
-            fan.rank, saturate_columns([fan.rays[i] for i in sigma_idx], fan.rank))
+        q_sigma = self._stratum(sigma_idx).q_sigma
         if q_sigma.rank == 0:
             return 1
         images = set()
@@ -246,41 +284,37 @@ class FanMap:
         sigma_idx = tuple(sorted(sigma_idx))
         if self.sigma_of(tau_idx) != sigma_idx:
             raise ValueError("tau does not lie over the relative interior of sigma")
-        fan = self.image_fan()
-        n_img, n_src = fan.rank, self.source.rank
-        sigma_sat = saturate_columns([fan.rays[i] for i in sigma_idx], n_img)
-        q_sigma = quotient_lattice(n_img, sigma_sat)
-        # preimage of span(sigma): kernel of projection-after-phi
-        if q_sigma.rank == 0:
-            pre_basis = [tuple(int(i == j) for j in range(n_src))
-                         for i in range(n_src)]
-        else:
-            proj_cols = [q_sigma.project(col) for col in self._phi_img.columns()]
-            pre_basis = kernel_basis(LatticeMap.from_columns(proj_cols))
-        tau_sat = saturate_columns(
-            [self.source.rays[i] for i in tau_idx], n_src)
+        stratum = self._stratum(sigma_idx)
+        pre = stratum.preimage
+        n_src = self.source.rank
         tau_coords = []
-        for t in tau_sat:
-            c = in_sublattice_coords(pre_basis, t)
+        for t in saturate_columns([self.source.rays[i] for i in tau_idx], n_src):
+            c = pre(t)
             if c is None:
                 raise InvariantError(
                     f"relative star: tau {tau_idx} is not inside the "
                     f"preimage of sigma {sigma_idx}")
             tau_coords.append(c)
-        quot = quotient_lattice(len(pre_basis), tau_coords)
-        lifts = tuple(lin_comb(b, pre_basis, n_src) for b in quot.quotient_basis)
+        quot = quotient_lattice(len(pre.basis), tau_coords)
+        lifts = tuple(lin_comb(b, pre.basis, n_src) for b in quot.quotient_basis)
 
-        def project(x):
-            coords = in_sublattice_coords(pre_basis, x)
-            if coords is None:
-                raise ValueError("vector is outside the sigma-preimage lattice")
-            return quot.project(coords)
+        projected = {}
+
+        def project(i):
+            if i not in projected:
+                if i not in stratum.ray_coords:
+                    stratum.ray_coords[i] = pre(self.source.rays[i])
+                if stratum.ray_coords[i] is None:
+                    raise ValueError(
+                        "vector is outside the sigma-preimage lattice")
+                projected[i] = quot.project(stratum.ray_coords[i])
+            return projected[i]
 
         cones = []
-        for sp in self.sigma_prime_of(sigma_idx):
+        for sp in self._members[sigma_idx]:
             if not self.source.is_face(tau_idx, sp):
                 continue
-            gens = [project(self.source.rays[i]) for i in sp if i not in tau_idx]
+            gens = [project(i) for i in sp if i not in tau_idx]
             cones.append([g for g in gens if not is_zero(g)])
         if not any(cones):
             star_fan = zero_fan(quot.rank)

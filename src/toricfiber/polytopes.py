@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .fans import Fan, fan_from_cones
 from .geometry import HullData, halfspaces_to_vertices
-from .intlinalg import (Vec, dual_map, kernel_basis, LatticeMap, lin_comb,
-                        mat_vec, section_of_surjection, vadd, vdot, vsub)
+from .intlinalg import (SublatticeCoords, Vec, kernel_basis, LatticeMap,
+                        lin_comb, vadd, vdot, vsub)
 
 
 class Polytope:
@@ -152,24 +153,23 @@ def normal_fan(p: Polytope) -> Fan:
 @dataclass(frozen=True)
 class SubspaceChart:
     """Affine chart origin + B y identifying a saturated sublattice slice;
-    `left_inverse` is an integer L with L B = I, the transpose of a section
-    of B^T, which maps onto Z^k exactly when the basis is saturated."""
+    `coords` maps a vector of the slice's lattice to y through an integer
+    left inverse of B."""
 
     origin: Vec
     basis: tuple[Vec, ...]
-    left_inverse: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    coords: SublatticeCoords = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # raises ValueError when the basis is not saturated
-        section = section_of_surjection(LatticeMap.from_rows(self.basis))
-        object.__setattr__(self, "left_inverse", dual_map(section).matrix)
+        coords = SublatticeCoords.of(self.basis)  # ValueError if dependent
+        if coords.scale != 1:
+            raise ValueError("chart basis does not span a saturated sublattice")
+        object.__setattr__(self, "coords", coords)
 
     def to_chart(self, point) -> Vec:
         """Chart coordinates y, with lin_comb(y, basis) == point - origin."""
-        diff = vsub(point, self.origin)
-        # int() makes non-integral coordinates fail the check below
-        coords = tuple(int(x) for x in mat_vec(self.left_inverse, diff))
-        if lin_comb(coords, self.basis, len(diff)) != diff:
+        coords = self.coords(vsub(point, self.origin))
+        if coords is None:
             raise ValueError(f"{point} is not on the chart lattice")
         return coords
 
@@ -179,10 +179,20 @@ class SubspaceChart:
 
 @dataclass(frozen=True)
 class RestrictedPolytope:
-    """A polytope cut out inside an orthogonal-complement chart."""
+    """A polytope cut out inside an orthogonal-complement chart: the chart
+    points that `ambient` contains.  Membership reads the ambient
+    inequalities; the vertices are computed on first use of `polytope`."""
 
-    polytope: Polytope
+    ambient: Polytope = field(repr=False)
     chart: SubspaceChart
+
+    def contains(self, y) -> bool:
+        return self.ambient.contains(self.chart.from_chart(y))
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        return restrict_to_subspace(self.ambient, self.chart.origin,
+                                    self.chart.basis)
 
 
 def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
@@ -240,8 +250,7 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     origin = support_vertex(p, ref_fan, tops[0])
     tau_gens = [ref_fan.rays[i] for i in tau_idx]
     basis = tuple(orthogonal_complement_basis(tau_gens, p.ambient_rank))
-    poly = restrict_to_subspace(p, origin, basis)
-    return RestrictedPolytope(poly, SubspaceChart(origin, basis))
+    return RestrictedPolytope(p, SubspaceChart(origin, basis))
 
 
 def interior_lattice_points(p: Polytope) -> list[Vec]:

@@ -6,14 +6,20 @@ barycentric solvers.  The lattice-point oracles scan the whole bounding
 box, and the facet-interior count goes through face charts, the way the
 library did before it counted tight facets.  Cone location scans every
 cone of a fan with exact solves on simplicial subcones, the way the
-library did before it read faces off facet normals.
+library did before it read faces off facet normals.  The lattice solves
+are the Gauss-Jordan ones on Fractions that the library used before its
+lattice layer became integer-only.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from toricfiber.intlinalg import lin_comb, mat_mul, mat_transpose, vadd, vdot
+from toricfiber.geometry import cone_halfspaces, dual_description
+from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
+                                  column_lattice_hnf, kernel_basis, lin_comb,
+                                  mat_mul, mat_transpose, primitivize,
+                                  smith_normal_form, vadd, vdot)
 from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
                                   restrict_to_subspace)
 
@@ -184,3 +190,133 @@ def scan_locate_relint(fan):
         return next((idx for idx, member in tests if member(v)), None)
 
     return locate
+
+
+# -- the exact-rational lattice solves that the integer lattice layer
+#    replaced, and lattice helpers only the tests use
+
+def rational_solve(a, b):
+    """Solve a x = b exactly over Q by Gauss-Jordan on Fractions; None if
+    inconsistent, free variables set to 0."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(bv)]
+         for row, bv in zip(a, b, strict=True)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    if any(m[i][cols] != 0 for i in range(r, rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = m[i][cols]
+    return x
+
+
+def fraction_det(a):
+    """Determinant by Gaussian elimination over Q."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det)
+
+
+def fraction_sublattice_coords(basis, x):
+    """Integer coordinates of x on a sublattice basis, or None, through a
+    rational solve."""
+    if not basis:
+        return () if all(v == 0 for v in x) else None
+    rows = [[b[i] for b in basis] for i in range(len(x))]
+    sol = rational_solve(rows, x)
+    if sol is None or any(s.denominator != 1 for s in sol):
+        return None
+    coords = tuple(int(s) for s in sol)
+    return coords if lin_comb(coords, basis, len(x)) == tuple(x) else None
+
+
+def fraction_solve_unimodular(a, t):
+    """The integer U with U a = t and |det U| = 1, or None, solved row by
+    row over Q."""
+    at = mat_transpose(a)
+    u = []
+    for row in t:
+        sol = rational_solve(at, row)
+        if sol is None or any(s.denominator != 1 for s in sol):
+            return None
+        u.append([int(s) for s in sol])
+    return u if abs(fraction_det(u)) == 1 else None
+
+
+def lattice_intersection(basis_a, basis_b, ambient_rank):
+    """Basis of the intersection of two sublattices of Z^n."""
+    if not basis_a or not basis_b:
+        return []
+    cols = [list(a) for a in basis_a] + [[-x for x in b] for b in basis_b]
+    mat = [[c[i] for c in cols] for i in range(ambient_rank)]
+    gens = []
+    for k in kernel_basis(LatticeMap.from_rows(mat)):
+        g = lin_comb(k[:len(basis_a)], basis_a, ambient_rank)
+        if any(g):
+            gens.append(g)
+    return list(column_lattice_hnf(gens, ambient_rank))
+
+
+def sublattice_index(basis_super, basis_sub, ambient_rank):
+    """[super : sub] for sub a finite-index sublattice of super."""
+    coords = []
+    for s in basis_sub:
+        c = fraction_sublattice_coords(basis_super, s)
+        if c is None:
+            raise ValueError("not a sublattice")
+        coords.append(c)
+    if len(basis_sub) < len(basis_super):
+        return INFINITE
+    mat = [[coords[j][i] for j in range(len(coords))]
+           for i in range(len(basis_super))]
+    return cokernel_index(LatticeMap.from_rows(mat))
+
+
+def project_with_torsion(q, x):
+    """(free coordinates, torsion coordinates) of x in the quotient q: the
+    coordinates after U^-1 of the sublattice's Smith form, the torsion
+    ones reduced modulo their invariant factors."""
+    mat = [[s[i] for s in q.sublattice_basis] for i in range(q.ambient_rank)]
+    snf = smith_normal_form(mat)
+    y = [sum(a * b for a, b in zip(row, x)) for row in snf.Uinv]
+    tor = tuple(y[i] % d for i, d in enumerate(snf.diagonal) if d > 1)
+    return q.project(x), tor
+
+
+def cone_extreme_rays(generators, dim):
+    """Extreme rays of cone(generators), primitive and deduplicated."""
+    gens = [primitivize(g) for g in generators if any(g)]
+    if not gens:
+        return []
+    rays, lin = dual_description(*cone_halfspaces(gens, dim), dim)
+    if lin:
+        raise ValueError("cone is not strongly convex")
+    return rays

@@ -112,6 +112,25 @@ def test_restriction_kernel_dimension():
     assert len(restricted) == 0
 
 
+def test_section_restriction_computes_no_vertices(monkeypatch):
+    from toricfiber import polytopes
+    p = data.section_polytope()
+    fan = data.total_fan()
+    s = LaurentSection.generic(p)
+    tau = data.total_cone("v1' e2'")
+    expected = polytopes.restriction_polytope(p, tau, fan).polytope
+
+    def no_vertices(*args):
+        raise AssertionError("restriction vertices were computed")
+
+    monkeypatch.setattr(polytopes, "halfspaces_to_vertices", no_vertices)
+    restricted, restriction = restrict_section_to_orbit_closure(s, tau, p, fan)
+    assert len(restricted) == 11
+    assert all(restriction.contains(y) for y, _ in restricted.terms)
+    monkeypatch.undo()
+    assert restriction.polytope.vertices == expected.vertices
+
+
 def test_pullback_identity_and_constant():
     fan, tri = cp2_setup()
     m = FanMap(LatticeMap.identity(2), fan, fan)

@@ -102,6 +102,15 @@ def test_input_document_flow(tmp_path):
     assert "cones_total: 33" in out
 
 
+def test_fan_check_drops_a_listed_face(tmp_path):
+    path = tmp_path / "p1.fan"
+    path.write_text("toricfiber fan v1\nrank 1\nray a 1\nray b -1\n"
+                    "cone a\ncone b\ncone\n")
+    out = run("fan", "check", "--input", str(path),
+              "--format", "structured").output
+    assert "maximal_cones: 2" in out and "complete: True" in out
+
+
 def test_invalid_document_fails(tmp_path):
     path = tmp_path / "bad.fan"
     path.write_text("toricfiber fan v1\nrank 2\nray a 2 4\ncone a\n")

@@ -27,6 +27,15 @@ def test_projective_line_fan():
     assert f.is_complete() and f.is_smooth()
 
 
+def test_listed_faces_of_other_cones_are_not_maximal():
+    f = Fan(1, [(1,), (-1,)], [[0], [1], []])
+    assert f.maximal_cones == ((0,), (1,))
+    assert f.is_complete()
+    f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0], [1]])
+    assert f.maximal_cones == ((0, 1), (0, 2), (1, 2))
+    assert f.is_complete() and len(f.all_cone_indices) == 7
+
+
 def test_total_fan_builds_and_is_singular():
     f = data.total_fan()
     assert len(f.maximal_cones) == 54

@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from toricfiber.geometry import (HullData, cone_extreme_rays, dual_description,
+from oracles import cone_extreme_rays
+from toricfiber.geometry import (HullData, dual_description,
                                  halfspaces_to_vertices)
 from toricfiber.intlinalg import primitivize, vdot
 

@@ -4,15 +4,24 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from toricfiber import intlinalg
-from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
-                                  column_lattice_hnf, dual_map, kernel_basis,
-                                  lattice_intersection, mat_det,
+from oracles import (fraction_solve_unimodular, fraction_sublattice_coords,
+                     lattice_intersection, project_with_torsion,
+                     sublattice_index)
+from toricfiber import data, intlinalg
+from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
+                                  cokernel_index, column_lattice_hnf,
+                                  dual_map, in_sublattice_coords,
+                                  kernel_basis, lin_comb, mat_det,
                                   mat_inverse_unimodular, mat_mul,
                                   quotient_lattice, section_of_surjection,
-                                  smith_normal_form, sublattice_index, vdot)
+                                  smith_normal_form, solve_unimodular, vdot)
+from toricfiber.morphism import FanMap
+from toricfiber.polytopes import SubspaceChart
+from toricfiber.surfaces import CATALOG_RAYS, catalog_fan, identify_surface
 
 PROJECTION = LatticeMap.from_rows([[1, 0, 0, 0, 0],
                                    [0, 1, 0, 0, 0],
@@ -69,7 +78,7 @@ def test_quotient_examples():
     q = quotient_lattice(2, [(2, 0)])
     assert q.rank == 1 and q.torsion == (2,)
     # coset count oracle: points of a box, distinct projections * torsion
-    cosets = {q.project_with_torsion((x, y)) for x in range(-4, 5)
+    cosets = {project_with_torsion(q, (x, y)) for x in range(-4, 5)
               for y in range(-4, 5)}
     frees = {c[0] for c in cosets}
     tors = {c[1] for c in cosets}
@@ -207,3 +216,116 @@ def test_inverse_check_survives_optimised_python():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 1 and res.stdout == ""
     assert "ArithmeticError: matrix is not unimodular" in res.stderr
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def lattice_matrices(draw, square=False):
+    """Integer matrices up to 6 x 6; some rows are integer combinations of
+    others, so rank-deficient matrices come up often."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.booleans()):
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            k, j = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m.append([k * x + j * y for x, y in zip(a, b)])
+        else:
+            m.append([draw(st.integers(-12, 12)) for _ in range(cols)])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_matrices())
+def test_snf_matches_sympy_and_carries_its_inverses(matrix):
+    snf = smith_normal_form(matrix)
+    theirs = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+    assert list(snf.diagonal) == [abs(theirs[i, i]) for i in
+                                  range(min(theirs.shape))]
+    assert mat_mul(mat_mul(snf.U, snf.S), snf.V) == matrix
+    assert mat_mul(snf.U, snf.Uinv) == identity(len(matrix))
+    assert mat_mul(snf.V, snf.Vinv) == identity(len(matrix[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_matrices(square=True))
+def test_mat_det_matches_sympy(matrix):
+    assert mat_det(matrix) == sympy.Matrix(matrix).det()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sublattice_coords_match_the_fraction_solve(picks):
+    n = picks.draw(st.integers(1, 5))
+    k = picks.draw(st.integers(0, n))
+    vec = st.tuples(*[st.integers(-5, 5)] * n)
+    basis = picks.draw(st.lists(vec, min_size=k, max_size=k))
+    assume(smith_normal_form([list(b) for b in basis] or [[0]]).rank == k
+           or not basis)
+    coords = SublatticeCoords.of(basis)
+    b_cols = [[b[i] for b in basis] for i in range(n)]
+    if basis:
+        assert mat_mul(coords.left_inverse, b_cols) == \
+            [[coords.scale * x for x in row] for row in identity(k)]
+    c = picks.draw(st.tuples(*[st.integers(-4, 4)] * k))
+    on = lin_comb(c, basis, n)
+    half = tuple(Fraction(x, 2) for x in on)
+    for x in (on, picks.draw(vec), half, tuple(x + 1 for x in on)):
+        expected = fraction_sublattice_coords(basis, x)
+        assert in_sublattice_coords(basis, x) == expected
+        assert coords(x) == expected
+    assert coords(on) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_unimodular_matches_the_fraction_solve(picks):
+    a = picks.draw(lattice_matrices())
+    n = len(a)
+    # a unimodular u0 from elementary row operations
+    u0 = identity(n)
+    for _ in range(picks.draw(st.integers(0, 6))):
+        i, j = picks.draw(st.integers(0, n - 1)), picks.draw(st.integers(0, n - 1))
+        if i != j:
+            k = picks.draw(st.integers(-3, 3))
+            u0[i] = [x + k * y for x, y in zip(u0[i], u0[j])]
+    if picks.draw(st.booleans()):
+        u0[0] = [-x for x in u0[0]]
+    cols = len(a[0])
+    other = [[picks.draw(st.integers(-5, 5)) for _ in range(cols)]
+             for _ in range(n)]
+    targets = [mat_mul(u0, a), other,
+               mat_mul([[2 * x for x in r] for r in u0], a)]
+    if cols > n:
+        # u0 a moved off the row space of a only past column n of the
+        # Smith frame: no solution
+        off = [[0] * n + [1] * (cols - n)] * n
+        targets.append([[x + y for x, y in zip(r, s)] for r, s in
+                        zip(mat_mul(u0, a), mat_mul(off, smith_normal_form(a).V))])
+    for t in targets:
+        got = solve_unimodular(a, t)
+        assert got == fraction_solve_unimodular(a, t)
+        if got is not None:
+            assert mat_mul(got, a) == t and abs(mat_det(got)) == 1
+
+
+class FractionBuilt(Exception):
+    pass
+
+
+def test_integer_paths_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise FractionBuilt(args)
+
+    monkeypatch.setattr(intlinalg, "Fraction", no_fraction)
+    m = FanMap(data.projection(), data.total_fan(), data.base_fan())
+    assert len(m.flattening_stratification()) == 33
+    assert m.is_fibration().is_fibration
+    chart = SubspaceChart((1, 1, 1), ((1, 1, 0), (0, 1, 0)))
+    assert chart.to_chart((2, 5, 1)) == (1, 3)
+    for label in CATALOG_RAYS:
+        assert identify_surface(catalog_fan(label)) == label

@@ -113,7 +113,7 @@ def test_index_doubling_map():
     assert {sigma: rep.index for sigma, rep in table} == {
         (): 2, (0,): 1, (1,): 1}
     # Ind(0) = Ind(sigma) * [N_sigma : N_sigma cap phi(N')]
-    from toricfiber.intlinalg import lattice_intersection, sublattice_index
+    from oracles import lattice_intersection, sublattice_index
     deg = cokernel_index(m.phi)
     assert deg == 2
     for sigma in [(0,), (1,)]:
