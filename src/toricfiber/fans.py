@@ -2,10 +2,11 @@
 
 Cones are stored by primitive generators, and every membership question
 is answered from a cone's cached facet normals.  Fans keep a ray table
-plus index tuples, with the face closure computed on construction.
+plus index tuples, with every face registered on construction.
 Every fan is validated: a complete fan by a local certificate read off
 the facets of its maximal cones (`Fan._certificate_failure`), any other
-fan by intersecting each pair of maximal cones.
+fan by intersecting each pair of maximal cones.  In a validated fan the
+face relation is inclusion of ray index sets.
 """
 
 from __future__ import annotations
@@ -104,9 +105,14 @@ class Cone:
         return self.relint_face(v) == tuple(range(len(self.generators)))
 
     def face_generator_sets(self):
-        """Generator index subsets spanning the faces, the cone included:
-        the intersections of the generator sets of the facets."""
-        found = {tuple(range(len(self.generators)))}
+        """Generator index subsets spanning the faces, the cone included,
+        ordered by size: every subset when the cone is simplicial, else the
+        intersections of the generator sets of the facets."""
+        n = len(self.generators)
+        if self.is_simplicial:
+            return [s for k in range(n + 1)
+                    for s in itertools.combinations(range(n), k)]
+        found = {tuple(range(n))}
         todo = list(found)
         while todo:
             face = todo.pop()
@@ -138,7 +144,6 @@ class Fan:
                 raise ValueError("cone refers to a missing ray")
             maximal.append(idx)
         self._cones: dict[tuple[int, ...], Cone] = {}
-        self._faces_of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self._close_faces(sorted(set(maximal)))
         self._validate_cones()
         self._complete = self._certificate_failure() == 0
@@ -155,22 +160,16 @@ class Fan:
         listed ones that are not a proper face of another.  Larger cones go
         first, so a listed face of one of them is already closed."""
         self._cones[()] = Cone((), self.rank)
-        self._faces_of[()] = {()}
         proper = set()
         for top in sorted(listed, key=len, reverse=True):
             if top in proper:
                 continue
             cone = self._cones.setdefault(top, self._cone_from_indices(top))
-            faces = [tuple(top[i] for i in sub)
-                     for sub in cone.face_generator_sets()]
-            for f in faces:
+            for sub in cone.face_generator_sets()[:-1]:
+                f = tuple(top[i] for i in sub)
+                proper.add(f)
                 if f not in self._cones:
                     self._cones[f] = self._cone_from_indices(f)
-                # between faces of one cone, inclusion of index sets is the
-                # face relation
-                self._faces_of.setdefault(f, set()).update(
-                    g for g in faces if set(g) <= set(f))
-            proper.update(f for f in faces if f != top)
         self.maximal_cones = tuple(c for c in listed if c not in proper)
 
     def _validate_cones(self):
@@ -229,6 +228,11 @@ class Fan:
         return 0
 
     def _validate_intersections(self):
+        """The fan is not yet known to be valid, so a common face is looked
+        up among each cone's own faces, not decided by inclusion."""
+        faces = {idx: {tuple(idx[i] for i in sub) for sub in
+                       self._cones[idx].face_generator_sets()}
+                 for idx in self.maximal_cones}
         for idx_a, idx_b in itertools.combinations(self.maximal_cones, 2):
             rays = intersect_cones(self._cones[idx_a].halfspaces,
                                    self._cones[idx_b].halfspaces, self.rank)
@@ -242,8 +246,7 @@ class Fan:
             if not (set(face) <= set(idx_a) and set(face) <= set(idx_b)):
                 raise ValueError(
                     f"cones {idx_a} and {idx_b} do not meet in a common face")
-            if face not in self._faces_of.get(idx_a, ()) or \
-                    face not in self._faces_of.get(idx_b, ()):
+            if face not in faces[idx_a] or face not in faces[idx_b]:
                 raise ValueError(
                     f"intersection of {idx_a} and {idx_b} is not a face of both")
 
@@ -260,13 +263,18 @@ class Fan:
         return tuple(sorted(idx)) in self._cones
 
     def is_face(self, tau_idx, sigma_idx) -> bool:
+        """Is tau a face of sigma?  In a fan the intersection of two cones
+        is a face of both, and tau inside sigma makes that face tau."""
         tau = tuple(sorted(tau_idx))
         sigma = tuple(sorted(sigma_idx))
-        return tau in self._faces_of.get(sigma, ())
+        return tau in self._cones and sigma in self._cones and \
+            set(tau) <= set(sigma)
 
     def proper_faces(self, idx) -> list[tuple[int, ...]]:
+        """The faces of a cone other than itself, ordered by size."""
         idx = tuple(sorted(idx))
-        return [f for f in self._faces_of.get(idx, ()) if f != idx]
+        return [tuple(idx[i] for i in sub)
+                for sub in self.cone(idx).face_generator_sets()[:-1]]
 
     def locate_relint(self, v: Vec):
         """Index set of the unique cone whose relative interior contains v,

@@ -494,41 +494,6 @@ def section_of_surjection(f: LatticeMap) -> LatticeMap:
                                         snf.Uinv))
 
 
-def column_lattice_hnf(columns, ambient_rank: int) -> tuple[Vec, ...]:
-    """Canonical (column-style Hermite) basis of the lattice spanned by columns.
-
-    Used to compare lattices for equality: equal lattices give equal output.
-    """
-    work = [list(c) for c in columns if not is_zero(c)]
-    basis: list[list[int]] = []
-    for row in range(ambient_rank):
-        while True:
-            nz = [c for c in work if c[row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[row]))
-            head = nz[0]
-            for c in nz[1:]:
-                q = c[row] // head[row]
-                for i in range(ambient_rank):
-                    c[i] -= q * head[i]
-            work = [c for c in work if not is_zero(c)]
-        nz = [c for c in work if c[row] != 0]
-        if not nz:
-            continue
-        head = nz[0]
-        work.remove(head)
-        if head[row] < 0:
-            head = [-x for x in head]
-        for b in basis:
-            if b[row] != 0:
-                q = b[row] // head[row]
-                for i in range(ambient_rank):
-                    b[i] -= q * head[i]
-        basis.append(head)
-    return tuple(tuple(b) for b in basis)
-
-
 def saturate_columns(columns, ambient_rank: int) -> list[Vec]:
     """Basis of the saturation (R-span intersected with Z^n) of a column lattice."""
     if not columns:

@@ -17,9 +17,9 @@ from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
 from .intlinalg import (INFINITE, InvariantError, LatticeMap,
                         QuotientLattice, SublatticeCoords, Vec,
-                        cokernel_index, column_lattice_hnf, is_zero,
-                        kernel_basis, lin_comb, primitivize, quotient_lattice,
-                        saturate_columns, smith_normal_form, vdot, vsub)
+                        cokernel_index, is_zero, kernel_basis, lin_comb,
+                        primitivize, quotient_lattice, saturate_columns,
+                        smith_normal_form, vdot, vsub)
 from .polytopes import (Polytope, RestrictedPolytope,
                         orthogonal_complement_basis, support_vertices)
 from .surfaces import UNKNOWN, identify_surface
@@ -90,15 +90,17 @@ class FibrationCertificate:
     skeleton_onto: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Stratum:
     """Lattice data shared by every source cone over one image cone sigma:
-    N/N_sigma, the preimage phi^-1(N_sigma) with its coordinate map, and
-    the preimage coordinates of source rays, filled in as they are used."""
+    N/N_sigma, the preimage phi^-1(N_sigma) with its coordinate map, the
+    preimage coordinates of the rays of every member, and the index of
+    phi(N') in N/N_sigma (INFINITE when it has lower rank)."""
 
     q_sigma: QuotientLattice
     preimage: SublatticeCoords
-    ray_coords: dict = field(default_factory=dict)
+    ray_coords: dict
+    index: object
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,10 @@ class FanMap:
         return list(self._members.get(sigma_idx, ()))
 
     def _stratum(self, sigma_idx) -> _Stratum:
-        """The lattice data of the stratum over sigma, built once."""
+        """The lattice data of the stratum over sigma, built once.  Every
+        member's rays must lie in phi^-1(N_sigma); then N'_sigma' maps into
+        N_sigma, and the image of N'/N'_sigma' in N/N_sigma is that of N',
+        one index per stratum."""
         if sigma_idx not in self._strata:
             fan = self.image_fan()
             n_src = self.source.rank
@@ -221,61 +226,47 @@ class FanMap:
             if q_sigma.rank == 0:
                 pre_basis = [tuple(int(i == j) for j in range(n_src))
                              for i in range(n_src)]
+                index = 1
             else:
-                proj_cols = [q_sigma.project(col)
-                             for col in self._phi_img.columns()]
-                pre_basis = kernel_basis(LatticeMap.from_columns(proj_cols))
-            self._strata[sigma_idx] = _Stratum(
-                q_sigma, SublatticeCoords.of(pre_basis))
+                proj = LatticeMap.from_columns(
+                    [q_sigma.project(col) for col in self._phi_img.columns()])
+                pre_basis = kernel_basis(proj)
+                index = cokernel_index(proj)
+            pre = SublatticeCoords.of(pre_basis)
+            ray_coords = {}
+            for sp in self._members.get(sigma_idx, ()):
+                for i in sp:
+                    if i not in ray_coords:
+                        ray_coords[i] = pre(self.source.rays[i])
+                        if ray_coords[i] is None:
+                            raise InvariantError(
+                                f"stratum over sigma {sigma_idx}: member {sp} "
+                                f"has ray {i} outside the preimage of N_sigma")
+            self._strata[sigma_idx] = _Stratum(q_sigma, pre, ray_coords, index)
         return self._strata[sigma_idx]
 
     def primitive_cones(self, sigma_idx) -> list[tuple[int, ...]]:
-        sigma_idx = tuple(sorted(sigma_idx))
-        members = set(self.sigma_prime_of(sigma_idx))
+        """The cones over sigma with no proper face over sigma.  Faces are
+        subsets, members come smaller first, and a member with a proper
+        face over sigma contains a smaller primitive one."""
         out = []
-        for sp in sorted(members, key=lambda s: (len(s), s)):
-            if not any(f in members for f in self.source.proper_faces(sp)):
+        for sp in self.sigma_prime_of(sigma_idx):
+            if not any(set(p) < set(sp) for p in out):
                 out.append(sp)
         return out
 
     # -- index ---------------------------------------------------------------
 
     def index_of(self, sigma_idx) -> int:
-        """Order of N/N_sigma modulo the image of N'/N'_sigma'.
-
-        Well-definedness across all members of the stratum is checked.
-        """
+        """Order of N/N_sigma modulo the image of N'/N'_sigma', the same for
+        every sigma' over sigma (see `_stratum`)."""
         sigma_idx = tuple(sorted(sigma_idx))
-        sps = self.sigma_prime_of(sigma_idx)
-        if not sps:
+        if not self.sigma_prime_of(sigma_idx):
             raise ValueError("no source cones lie over sigma")
-        q_sigma = self._stratum(sigma_idx).q_sigma
-        if q_sigma.rank == 0:
-            return 1
-        images = set()
-        value = None
-        for sp in sps:
-            q_sp = quotient_lattice(
-                self.source.rank,
-                saturate_columns([self.source.rays[i] for i in sp], self.source.rank))
-            cols = [q_sigma.project(self._phi_img.apply(b))
-                    for b in q_sp.quotient_basis]
-            images.add(column_lattice_hnf(cols, q_sigma.rank))
-            if not cols:
-                raise ValueError("stratum member maps with infinite index")
-            idx = cokernel_index(LatticeMap.from_columns(cols))
-            if idx is INFINITE:
-                raise ValueError("stratum member maps with infinite index")
-            value = idx if value is None else value
-            if idx != value:
-                raise InvariantError(
-                    f"index over sigma {sigma_idx}: stratum member {sp} has "
-                    f"index {idx}, an earlier one {value}")
-        if len(images) != 1:
-            raise InvariantError(
-                f"index over sigma {sigma_idx}: the stratum {sps} has "
-                f"{len(images)} different image lattices")
-        return value
+        index = self._stratum(sigma_idx).index
+        if index is INFINITE:
+            raise ValueError("stratum member maps with infinite index")
+        return index
 
     # -- relative stars -------------------------------------------------------
 
@@ -302,11 +293,6 @@ class FanMap:
 
         def project(i):
             if i not in projected:
-                if i not in stratum.ray_coords:
-                    stratum.ray_coords[i] = pre(self.source.rays[i])
-                if stratum.ray_coords[i] is None:
-                    raise ValueError(
-                        "vector is outside the sigma-preimage lattice")
                 projected[i] = quot.project(stratum.ray_coords[i])
             return projected[i]
 

@@ -8,7 +8,10 @@ library did before it counted tight facets.  Cone location scans every
 cone of a fan with exact solves on simplicial subcones, the way the
 library did before it read faces off facet normals.  The lattice solves
 are the Gauss-Jordan ones on Fractions that the library used before its
-lattice layer became integer-only.
+lattice layer became integer-only.  The face relation of a fan is closed
+through facets and tested pairwise, and the index of a stratum is taken
+member by member, the way the library did before it read both off the
+fan and the stratum.
 """
 
 import itertools
@@ -17,8 +20,9 @@ from math import lcm
 
 from toricfiber.geometry import cone_halfspaces, dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
-                                  column_lattice_hnf, kernel_basis, lin_comb,
-                                  mat_mul, mat_transpose, primitivize,
+                                  is_zero, kernel_basis, lin_comb, mat_mul,
+                                  mat_transpose, primitivize,
+                                  quotient_lattice, saturate_columns,
                                   smith_normal_form, vadd, vdot)
 from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
                                   restrict_to_subspace)
@@ -285,6 +289,41 @@ def lattice_intersection(basis_a, basis_b, ambient_rank):
     return list(column_lattice_hnf(gens, ambient_rank))
 
 
+def column_lattice_hnf(columns, ambient_rank: int):
+    """Canonical (column-style Hermite) basis of the lattice spanned by columns.
+
+    Used to compare lattices for equality: equal lattices give equal output.
+    """
+    work = [list(c) for c in columns if not is_zero(c)]
+    basis: list[list[int]] = []
+    for row in range(ambient_rank):
+        while True:
+            nz = [c for c in work if c[row] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda c: abs(c[row]))
+            head = nz[0]
+            for c in nz[1:]:
+                q = c[row] // head[row]
+                for i in range(ambient_rank):
+                    c[i] -= q * head[i]
+            work = [c for c in work if not is_zero(c)]
+        nz = [c for c in work if c[row] != 0]
+        if not nz:
+            continue
+        head = nz[0]
+        work.remove(head)
+        if head[row] < 0:
+            head = [-x for x in head]
+        for b in basis:
+            if b[row] != 0:
+                q = b[row] // head[row]
+                for i in range(ambient_rank):
+                    b[i] -= q * head[i]
+        basis.append(head)
+    return tuple(tuple(b) for b in basis)
+
+
 def sublattice_index(basis_super, basis_sub, ambient_rank):
     """[super : sub] for sub a finite-index sublattice of super."""
     coords = []
@@ -320,3 +359,54 @@ def cone_extreme_rays(generators, dim):
     if lin:
         raise ValueError("cone is not strongly convex")
     return rays
+
+
+# -- the face relation and the stratum index the way the library computed
+#    them before reading them off inclusion and off the stratum
+
+def facet_closure(cone):
+    """Generator position sets of the faces of a cone, the cone included:
+    the intersections of the generator sets of its facets, ordered by
+    size."""
+    found = {tuple(range(len(cone.generators)))}
+    todo = list(found)
+    while todo:
+        face = todo.pop()
+        for _, on in cone.facets:
+            sub = tuple(i for i in face if i in on)
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def face_table(fan):
+    """Cone of the fan -> the set of its faces: each maximal cone is closed
+    through its facets, and between faces of one maximal cone inclusion of
+    index sets is tested for every pair."""
+    table = {(): {()}}
+    for top in fan.maximal_cones:
+        faces = [tuple(top[i] for i in sub)
+                 for sub in facet_closure(fan.cone(top))]
+        for f in faces:
+            table.setdefault(f, set()).update(
+                g for g in faces if set(g) <= set(f))
+    return table
+
+
+def member_index(m, sigma_idx, sp):
+    """(index, canonical basis of the image) of N'/N'_sp in N/N_sigma,
+    computed from the one stratum member sp of the FanMap m."""
+    fan = m.image_fan()
+    q_sigma = quotient_lattice(fan.rank, saturate_columns(
+        [fan.rays[i] for i in sigma_idx], fan.rank))
+    if q_sigma.rank == 0:
+        return 1, ()
+    n_src = m.source.rank
+    q_sp = quotient_lattice(n_src, saturate_columns(
+        [m.source.rays[i] for i in sp], n_src))
+    cols = [q_sigma.project(m._phi_img.apply(b)) for b in q_sp.quotient_basis]
+    image = column_lattice_hnf(cols, q_sigma.rank)
+    if not cols:
+        return INFINITE, image
+    return cokernel_index(LatticeMap.from_columns(cols)), image

@@ -166,18 +166,21 @@ def test_pipeline_report_deterministic():
 
 
 def test_failed_invariant_exits_2_under_optimised_python():
-    # every stratum member gets its own image lattice, so index_of's
-    # well-definedness check must fail, with asserts stripped by -O
+    # a doubled kernel basis leaves the member rays outside the preimage
+    # of N_sigma, so the stratum check must fail, with asserts stripped by -O
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys\n"
             "from toricfiber import cli, morphism\n"
-            "morphism.column_lattice_hnf = lambda cols, rank: object()\n"
+            "kernel_basis = morphism.kernel_basis\n"
+            "morphism.kernel_basis = lambda f: [tuple(2 * x for x in b)\n"
+            "                                   for b in kernel_basis(f)]\n"
             "sys.argv = ['toricfiber', 'morphism', 'fibers', '--sigma', 'r1']\n"
             "cli.main()\n")
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 2 and res.stdout == ""
-    assert res.stderr.startswith("internal invariant violation: index over "
-                                 "sigma (3,): the stratum [(7,), (8,)")
+    assert res.stderr.startswith("internal invariant violation: stratum "
+                                 "over sigma (3,): member (7,) has ray 7 "
+                                 "outside the preimage of N_sigma")

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import scan_locate_relint
+from oracles import face_table, facet_closure, scan_locate_relint
 from toricfiber import data
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_isomorphic,
                              singular_locus_cones, star, star_subdivide,
@@ -201,6 +201,29 @@ def test_locate_relint_matches_scan_of_every_cone():
     assert quadrant.locate_relint((0, 3)) == (1,)
 
 
+def assert_faces_match_closure(f):
+    """is_face on every pair of cones and proper_faces on every cone agree
+    with the facet closure of the maximal cones and its pairwise inclusion
+    table; a simplicial cone's faces are its facet closure."""
+    table = face_table(f)
+    cones = f.all_cone_indices
+    assert set(table) == set(cones)
+    for sigma in cones:
+        assert set(f.proper_faces(sigma)) == table[sigma] - {sigma}
+        for tau in cones:
+            assert f.is_face(tau, sigma) == (tau in table[sigma])
+        cone = f.cone(sigma)
+        if cone.is_simplicial:
+            assert cone.face_generator_sets() == facet_closure(cone)
+
+
+def test_face_relation_matches_facet_closure():
+    octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+    for f in (data.total_fan(), data.base_fan(), normal_fan(octahedron)):
+        assert_faces_match_closure(f)
+
+
 def test_relint_face_of_a_square_cone():
     square = Cone.make([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
     on = {g: i for i, g in enumerate(square.generators)}
@@ -256,6 +279,7 @@ def subdivided_fans(draw):
 def test_certificate_accepts_subdivided_complete_fans(f):
     assert verdicts(f.rank, f.rays, f.maximal_cones) == (0, True)
     assert f.is_complete()
+    assert_faces_match_closure(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,7 +291,9 @@ def test_holed_fans_are_valid_and_not_complete(f, picks):
     kept = [c for c in tops if c not in drop]
     step, pairwise = verdicts(f.rank, f.rays, kept)
     assert step == 2 and pairwise
-    assert not Fan(f.rank, f.rays, kept).is_complete()
+    holed = Fan(f.rank, f.rays, kept)
+    assert not holed.is_complete()
+    assert_faces_match_closure(holed)
 
 
 @settings(max_examples=150, deadline=None)

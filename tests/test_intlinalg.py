@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from oracles import (fraction_solve_unimodular, fraction_sublattice_coords,
-                     lattice_intersection, project_with_torsion,
-                     sublattice_index)
+from oracles import (column_lattice_hnf, fraction_solve_unimodular,
+                     fraction_sublattice_coords, lattice_intersection,
+                     project_with_torsion, sublattice_index)
 from toricfiber import data, intlinalg
 from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
-                                  cokernel_index, column_lattice_hnf,
-                                  dual_map, in_sublattice_coords,
+                                  cokernel_index, dual_map,
+                                  in_sublattice_coords,
                                   kernel_basis, lin_comb, mat_det,
                                   mat_inverse_unimodular, mat_mul,
                                   quotient_lattice, section_of_surjection,
@@ -162,6 +163,45 @@ def test_column_lattice_hnf_canonical():
     a = column_lattice_hnf([(2, 0), (0, 3)], 2)
     b = column_lattice_hnf([(2, 3), (2, -3), (4, 3)], 2)
     assert a == b == ((2, 0), (0, 3))
+
+
+@st.composite
+def column_sets(draw):
+    """Integer columns, followed by up to two integer combinations of them
+    so that rank-deficient sets come up often."""
+    n = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+        k, l = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        cols.append(tuple(k * x + l * y for x, y in zip(a, b)))
+    return n, cols
+
+
+def sympy_hnf_columns(cols, n):
+    h = sympy_hnf(sympy.Matrix([[c[i] for c in cols] for i in range(n)]))
+    return [tuple(int(x) for x in h.col(j)) for j in range(h.cols)]
+
+
+def test_column_lattice_hnf_differs_from_sympy_in_convention():
+    cols = [(4, 6, 0), (2, 2, 2)]
+    assert sympy_hnf_columns(cols, 3) == cols
+    assert column_lattice_hnf(cols, 3) == ((2, 0, 6), (0, 2, -4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_sets())
+def test_column_lattice_hnf_against_sympy(case):
+    # the two normal forms differ in convention, so compare the lattices
+    # they span, then normalise sympy's basis
+    n, cols = case
+    ours = column_lattice_hnf(cols, n)
+    theirs = sympy_hnf_columns(cols, n)
+    for basis, others in ((ours, theirs), (theirs, ours)):
+        for v in others:
+            assert fraction_sublattice_coords(list(basis), v) is not None
+    assert column_lattice_hnf(theirs, n) == ours
 
 
 @st.composite

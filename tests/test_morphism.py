@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import member_index
 from toricfiber import data
 from toricfiber.fans import Fan, fan_equal
 from toricfiber.intlinalg import LatticeMap, cokernel_index
@@ -83,6 +84,15 @@ def test_primitive_cones_examples():
     assert named(m.primitive_cones(data.base_cone("r2"))) == {"c1'", "c2'"}
     assert named(m.primitive_cones(data.base_cone("r1"))) == {"e1'", "e2'", "e3'"}
     assert m.primitive_cones(()) == [()]
+
+
+def test_primitive_cones_have_no_proper_face_over_sigma():
+    m = data.fibration_map()
+    for sigma in m.image_fan().all_cone_indices:
+        members = m.sigma_prime_of(sigma)
+        assert m.primitive_cones(sigma) == [
+            sp for sp in members
+            if not any(f in members for f in m.source.proper_faces(sp))]
 
 
 def test_partition_property():
@@ -226,10 +236,15 @@ def test_branch_locus_doubling():
 
 
 def test_index_well_defined_across_strata():
-    # index_of recomputes per stratum member and asserts equal images
-    m = data.fibration_map()
-    for sigma in m.image_fan().all_cone_indices:
-        m.index_of(sigma)  # raises if any member disagrees
+    # index_of reads one index per stratum; taken member by member, every
+    # sigma' over sigma gives that index and one image lattice
+    f = line_fan()
+    for m in (data.fibration_map(), FanMap(LatticeMap.from_rows([[2]]), f, f)):
+        for sigma in m.image_fan().all_cone_indices:
+            per_member = {member_index(m, sigma, sp)
+                          for sp in m.sigma_prime_of(sigma)}
+            assert len(per_member) == 1
+            assert per_member.pop()[0] == m.index_of(sigma)
 
 
 def test_lighted_part_zero_cone():
