@@ -17,9 +17,9 @@ from functools import cached_property
 from math import prod
 
 from .geometry import cone_halfspaces, dual_description, intersect_cones
-from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_vec,
-                        primitivize, quotient_lattice, smith_normal_form,
-                        solve_unimodular, vdot)
+from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
+                        mat_vec, primitivize, quotient_lattice,
+                        smith_normal_form, solve_unimodular, vdot)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        mat = [[g[i] for g in self.generators] for i in range(self.ambient_rank)]
-        return smith_normal_form(mat).rank if self.generators else 0
+        return mat_rank(self.generators)
 
     @cached_property
     def is_simplicial(self) -> bool:

@@ -98,26 +98,41 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_det(a) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss
-    elimination (Bareiss, Math. Comp. 22, 1968): every division is exact."""
+def _bareiss(a) -> tuple[int, int]:
+    """(rank, signed last pivot) of an integer matrix by fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 22, 1968): every entry stays
+    a minor of a, so every division is exact.  For a square matrix of full
+    rank the signed last pivot is the determinant."""
     m = [list(row) for row in a]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
+    rows, cols = len(m), len(m[0]) if m else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            m[i] = [0] * (k + 1) + [(x * pk - mik * y) // prev
-                                    for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
-        prev = pk
-    return sign * m[-1][-1] if n else 1
+        pk = m[r][c]
+        for i in range(r + 1, rows):
+            mic = m[i][c]
+            m[i][c + 1:] = [(x * pk - mic * y) // prev
+                            for x, y in zip(m[i][c + 1:], m[r][c + 1:])]
+        prev, r = pk, r + 1
+        if r == rows:
+            break
+    return r, sign * prev
+
+
+def mat_det(a) -> int:
+    """Determinant of a square integer matrix."""
+    rank, last = _bareiss(a)
+    return last if rank == len(a) else 0
+
+
+def mat_rank(a) -> int:
+    """Rank of an integer matrix."""
+    return _bareiss(a)[0]
 
 
 def lin_comb(coeffs, vectors, rank: int) -> Vec:

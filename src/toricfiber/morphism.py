@@ -18,8 +18,8 @@ from .geometry import dual_description
 from .intlinalg import (INFINITE, InvariantError, LatticeMap,
                         QuotientLattice, SublatticeCoords, Vec,
                         cokernel_index, is_zero, kernel_basis, lin_comb,
-                        primitivize, quotient_lattice, saturate_columns,
-                        smith_normal_form, vdot, vsub)
+                        mat_rank, primitivize, quotient_lattice,
+                        saturate_columns, smith_normal_form, vdot, vsub)
 from .polytopes import (Polytope, RestrictedPolytope,
                         orthogonal_complement_basis, support_vertices)
 from .surfaces import UNKNOWN, identify_surface
@@ -176,7 +176,7 @@ class FanMap:
         return self._image_data[1]
 
     def is_surjective_real(self) -> bool:
-        return smith_normal_form(self.phi.matrix).rank == self.target.rank
+        return mat_rank(self.phi.matrix) == self.target.rank
 
     def degree(self):
         """[N : phi(N')] when finite, else INFINITE."""

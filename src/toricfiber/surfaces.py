@@ -1,19 +1,23 @@
-"""Recognition of complete 2-dimensional fans against a fixed catalog.
+"""GL(2,Z) normal forms of complete 2-dimensional fans and of planar
+lattice point sets, and the catalog of named surfaces.
 
 The catalog holds the seven surface types that show up as fiber
-components in the bundled data set, keyed by conventional labels.
-Matching is up to GL(2, Z), reflections included.
+components in the bundled data set, keyed by conventional labels.  Both
+normal forms map their input through every frame that the input itself
+singles out (a pair of adjacent rays, or a hull vertex with its two edge
+directions) and keep the least image, in the manner of the polygon normal
+forms of Kreuzer-Skarke (PALP) and Grinis-Kasprzyk.  Two inputs are
+equivalent up to GL(2,Z), reflections included, exactly when their forms
+are equal.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from .fans import Fan, fan_from_cones
 from .geometry import HullData
-from .intlinalg import (mat_transpose, mat_vec, primitivize, solve_unimodular,
-                        vadd, vdot, vsub)
+from .intlinalg import primitivize, vdot, vsub
 
 UNKNOWN = "UNKNOWN"
 
@@ -54,97 +58,77 @@ def order_counterclockwise(rays):
     return sorted({tuple(r) for r in rays}, key=cmp_to_key(_angle_cmp))
 
 
+def _in_frame(vectors, u, w):
+    """Images of `vectors` under the unique M in GL(2,Z) with M u = e1 and
+    M w = (a, m), 0 <= a < m, for u primitive and w independent of u."""
+    # extended Euclid: x u0 + y u1 = +-1
+    a, b, x, y, x1, y1 = u[0], u[1], 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, x, x1, y, y1 = b, a - q * b, x1, x - q * x1, y1, y - q * y1
+    row1, row2 = (a * x, a * y), (-u[1], u[0])
+    m = vdot(row2, w)
+    if m < 0:
+        row2, m = (u[1], -u[0]), -m
+    q = vdot(row1, w) // m
+    row1 = (row1[0] - q * row2[0], row1[1] - q * row2[1])
+    return [(vdot(row1, v), vdot(row2, v)) for v in vectors]
+
+
+def fan_normal_form(fan: Fan) -> tuple:
+    """GL(2,Z) normal form of a complete 2-dim fan: the least image of its
+    ray cycle, read from each ray in either direction, in the frame of its
+    first two rays."""
+    if fan.rank != 2 or not fan.is_complete():
+        raise ValueError("the normal form requires a complete 2-dim fan")
+    ccw = order_counterclockwise(fan.rays)
+    cycles = [ccw[k:] + ccw[:k] for k in range(len(ccw))]
+    cycles += [c[:1] + c[:0:-1] for c in cycles]
+    return min(tuple(_in_frame(c, c[0], c[1])) for c in cycles)
+
+
+def planar_normal_form(points) -> tuple:
+    """Normal form of a finite set in Z^2 up to GL(2,Z) and translation.
+
+    For a polygon: the least sorted image of the set moved to a hull vertex,
+    in the frame of that vertex's two primitive edge directions, in either
+    order.  A segment is framed by its direction from either end, which
+    leaves its lattice coordinates or their reflection; a point is (0, 0).
+    """
+    pts = sorted({tuple(p) for p in points})
+    if any(len(p) != 2 or not all(isinstance(x, int) for x in p)
+           for p in pts):
+        raise ValueError("planar point sets must lie in Z^2")
+    if len(pts) <= 1:
+        return tuple((0, 0) for _ in pts)
+    hull = HullData(pts)
+    frames = []
+    if hull.dim == 1:
+        for v, w in (hull.vertices, hull.vertices[::-1]):
+            d = primitivize(vsub(w, v))
+            frames.append((v, d, (-d[1], d[0])))
+    else:
+        edges = [[v for v in hull.vertices if vdot(n, v) == -c]
+                 for n, c in hull.facets]
+        for v in hull.vertices:
+            d1, d2 = (primitivize(vsub(w, v))
+                      for e in edges if v in e for w in e if w != v)
+            frames += [(v, d1, d2), (v, d2, d1)]
+    return min(tuple(sorted(_in_frame([vsub(p, v) for p in pts], d1, d2)))
+               for v, d1, d2 in frames)
+
+
+@cache
+def _catalog_forms() -> dict:
+    return {fan_normal_form(catalog_fan(label)): label
+            for label in CATALOG_RAYS}
+
+
 def identify_surface(fan: Fan) -> str:
     """Catalog label of a complete 2-dim fan up to GL(2,Z), else UNKNOWN."""
-    if fan.rank != 2:
-        raise ValueError("surface identification requires a 2-dimensional fan")
-    if not fan.is_complete():
-        raise ValueError("surface identification requires a complete fan")
-    rays = order_counterclockwise(fan.rays)
-    n = len(rays)
-    for label, cat in CATALOG_RAYS.items():
-        if len(cat) != n:
-            continue
-        if _matches(rays, cat):
-            return label
-    return UNKNOWN
-
-
-def _matches(rays, cat) -> bool:
-    n = len(rays)
-    anchor = mat_transpose(rays[:2])
-    targets = []
-    for k in range(n):
-        targets.append((cat[k], cat[(k + 1) % n]))        # orientation kept
-        targets.append((cat[k], cat[(k - 1) % n]))        # reflected
-    for c0, c1 in targets:
-        # U carries rays[0] to c0 and rays[1] to c1
-        u = solve_unimodular(anchor, mat_transpose([c0, c1]))
-        if u is not None and {mat_vec(u, r) for r in rays} == set(cat):
-            return True
-    return False
+    return _catalog_forms().get(fan_normal_form(fan), UNKNOWN)
 
 
 def planar_sets_unimodular_equivalent(points_a, points_b) -> bool:
-    """Lattice point sets in Z^2 equal up to GL(2,Z) and translation.
-
-    Complete search anchored on extreme points and edge directions of
-    the convex hulls; intended for small sets.
-    """
-    pa = sorted({tuple(p) for p in points_a})
-    pb = sorted({tuple(p) for p in points_b})
-    if len(pa) != len(pb):
-        return False
-    if len(pa) == 1:
-        return True
-    ha, hb = HullData(pa), HullData(pb)
-    if len(ha.vertices) != len(hb.vertices):
-        return False
-    if ha.dim != hb.dim:
-        return False
-    if ha.dim == 1:
-        da = primitivize(vsub(ha.vertices[1], ha.vertices[0]))
-        sa = sorted(_line_coords(pa, ha.vertices[0], da))
-        db = primitivize(vsub(hb.vertices[1], hb.vertices[0]))
-        sb = sorted(_line_coords(pb, hb.vertices[0], db))
-        return sa == sb or sorted(-x + max(sa) for x in sa) == sb
-    va = ha.vertices[0]
-    dirs_a = _vertex_edge_dirs(ha, va)
-    set_b = set(pb)
-    for vb in hb.vertices:
-        dirs_b = _vertex_edge_dirs(hb, vb)
-        for da in itertools.permutations(dirs_a, 2):
-            for db in itertools.permutations(dirs_b, 2):
-                u = solve_unimodular(mat_transpose(da), mat_transpose(db))
-                if u is not None and \
-                        {vadd(mat_vec(u, vsub(p, va)), vb) for p in pa} == set_b:
-                    return True
-    return False
-
-
-def _line_coords(points, origin, direction):
-    out = []
-    for p in points:
-        diff = (p[0] - origin[0], p[1] - origin[1])
-        if direction[0]:
-            t = diff[0] // direction[0]
-        else:
-            t = diff[1] // direction[1]
-        out.append(t)
-    return out
-
-
-def _vertex_edge_dirs(hull, v):
-    """Primitive directions of the two hull edges leaving vertex v."""
-    dirs = []
-    for n, c in hull.facets:
-        if vdot(n, v) == -c:
-            others = [w for w in hull.vertices if w != v and vdot(n, w) == -c]
-            if others:
-                w = min(others, key=lambda w: (abs(w[0] - v[0]) + abs(w[1] - v[1])))
-                dirs.append(primitivize((w[0] - v[0], w[1] - v[1])))
-    uniq = []
-    for d in dirs:
-        if d not in uniq:
-            uniq.append(d)
-    return uniq
+    """Lattice point sets in Z^2 equal up to GL(2,Z) and translation."""
+    return planar_normal_form(points_a) == planar_normal_form(points_b)

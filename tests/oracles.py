@@ -11,21 +11,23 @@ are the Gauss-Jordan ones on Fractions that the library used before its
 lattice layer became integer-only.  The face relation of a fan is closed
 through facets and tested pairwise, and the index of a stratum is taken
 member by member, the way the library did before it read both off the
-fan and the stratum.
+fan and the stratum.  Surfaces and planar point sets are matched by the
+searches over unimodular solves that the GL(2,Z) normal forms replaced.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from toricfiber.geometry import cone_halfspaces, dual_description
+from toricfiber.geometry import HullData, cone_halfspaces, dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   is_zero, kernel_basis, lin_comb, mat_mul,
-                                  mat_transpose, primitivize,
+                                  mat_transpose, mat_vec, primitivize,
                                   quotient_lattice, saturate_columns,
-                                  smith_normal_form, vadd, vdot)
+                                  smith_normal_form, vadd, vdot, vsub)
 from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
                                   restrict_to_subspace)
+from toricfiber.surfaces import CATALOG_RAYS, UNKNOWN, order_counterclockwise
 
 
 def _invert(matrix):
@@ -410,3 +412,75 @@ def member_index(m, sigma_idx, sp):
     if not cols:
         return INFINITE, image
     return cokernel_index(LatticeMap.from_columns(cols)), image
+
+
+# -- surface and planar-set equivalence by search, the way the library
+#    matched them before it computed GL(2,Z) normal forms
+
+def _rays_match(rays, cat) -> bool:
+    """Whether some U in GL(2,Z) carries the counterclockwise rays onto the
+    ray set cat, sending the first two rays to a pair adjacent in cat."""
+    n = len(rays)
+    anchor = mat_transpose(rays[:2])
+    for k in range(n):
+        for c0, c1 in ((cat[k], cat[(k + 1) % n]), (cat[k], cat[(k - 1) % n])):
+            u = fraction_solve_unimodular(anchor, mat_transpose([c0, c1]))
+            if u is not None and {mat_vec(u, r) for r in rays} == set(cat):
+                return True
+    return False
+
+
+def search_surface_label(rays):
+    """Catalog label of the complete 2-dim fan on rays, else UNKNOWN."""
+    ccw = order_counterclockwise(rays)
+    return next((label for label, cat in CATALOG_RAYS.items()
+                 if len(cat) == len(ccw) and _rays_match(ccw, cat)), UNKNOWN)
+
+
+def _line_coords(points, origin, direction):
+    i = 0 if direction[0] else 1
+    return [(p[i] - origin[i]) // direction[i] for p in points]
+
+
+def _vertex_edge_dirs(hull, v):
+    """Primitive directions of the two hull edges leaving vertex v."""
+    dirs = []
+    for n, c in hull.facets:
+        if vdot(n, v) == -c:
+            w = next(w for w in hull.vertices if w != v and vdot(n, w) == -c)
+            dirs.append(primitivize(vsub(w, v)))
+    return dirs
+
+
+def search_planar_equivalent(points_a, points_b) -> bool:
+    """Point sets in Z^2 equal up to GL(2,Z) and translation, by trying
+    every map that sends the edge directions at one hull vertex of a to
+    those at some hull vertex of b."""
+    pa = sorted({tuple(p) for p in points_a})
+    pb = sorted({tuple(p) for p in points_b})
+    if len(pa) != len(pb):
+        return False
+    if len(pa) <= 1:
+        return True
+    ha, hb = HullData(pa), HullData(pb)
+    if len(ha.vertices) != len(hb.vertices) or ha.dim != hb.dim:
+        return False
+    if ha.dim == 1:
+        da = primitivize(vsub(ha.vertices[1], ha.vertices[0]))
+        sa = sorted(_line_coords(pa, ha.vertices[0], da))
+        db = primitivize(vsub(hb.vertices[1], hb.vertices[0]))
+        sb = sorted(_line_coords(pb, hb.vertices[0], db))
+        return sa == sb or sorted(max(sa) - x for x in sa) == sb
+    va = ha.vertices[0]
+    dirs_a = _vertex_edge_dirs(ha, va)
+    set_b = set(pb)
+    for vb in hb.vertices:
+        dirs_b = _vertex_edge_dirs(hb, vb)
+        for da in itertools.permutations(dirs_a, 2):
+            for db in itertools.permutations(dirs_b, 2):
+                u = fraction_solve_unimodular(mat_transpose(da),
+                                              mat_transpose(db))
+                if u is not None and {vadd(mat_vec(u, vsub(p, va)), vb)
+                                      for p in pa} == set_b:
+                    return True
+    return False

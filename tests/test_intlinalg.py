@@ -17,7 +17,7 @@ from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
                                   cokernel_index, dual_map,
                                   in_sublattice_coords,
                                   kernel_basis, lin_comb, mat_det,
-                                  mat_inverse_unimodular, mat_mul,
+                                  mat_inverse_unimodular, mat_mul, mat_rank,
                                   quotient_lattice, section_of_surjection,
                                   smith_normal_form, solve_unimodular, vdot)
 from toricfiber.morphism import FanMap
@@ -295,6 +295,21 @@ def test_snf_matches_sympy_and_carries_its_inverses(matrix):
 @given(lattice_matrices(square=True))
 def test_mat_det_matches_sympy(matrix):
     assert mat_det(matrix) == sympy.Matrix(matrix).det()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_matrices())
+def test_mat_rank_matches_sympy(matrix):
+    assert mat_rank(matrix) == sympy.Matrix(matrix).rank()
+
+
+def test_mat_rank_of_deficient_and_empty_matrices():
+    assert mat_rank([]) == 0
+    assert mat_rank([[0, 0], [0, 0]]) == 0
+    # a zero first column: the pivots sit in later columns
+    assert mat_rank([[0, 2, 4], [0, 1, 2], [0, 3, 7]]) == 2
+    assert mat_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert mat_det([[1, 2], [2, 4]]) == 0
 
 
 @settings(max_examples=300, deadline=None)
