@@ -7,22 +7,20 @@ from .analysis import (DISCRIMINANTS, DiscriminantShape, IntersectionTable,
                        facet_interior_sum, fiber_pattern_note,
                        intersection_table, moduli_dimension, resolve_pipeline)
 from .bundles import (FiberSection, FibredForm, HomogeneousForm,
-                      LaurentSection, PLFunction, SectionBasisElement,
-                      fibred_form, fibred_homogeneous_form, homogeneous_form,
-                      is_principal, plf_from_polytope, polytope_from_plf,
-                      pullback_bundle, pullback_section_exponent,
+                      LaurentSection, PLFunction, fibred_form,
+                      fibred_homogeneous_form, homogeneous_form, is_principal,
+                      plf_from_polytope, polytope_from_plf, pullback_bundle,
                       quotient_surjection, restrict_section_to_orbit_closure,
-                      restrict_to_fiber, same_bundle, sections_basis,
-                      xi_transition)
+                      restrict_to_fiber, same_bundle, xi_transition)
 from .fans import (Cone, Fan, fan_equal, fan_from_cones, fan_isomorphic,
-                   singular_locus_cones, star, star_subdivide, zero_fan)
+                   singular_locus_cones, star_subdivide, zero_fan)
 from .intlinalg import (INFINITE, InvariantError, LatticeMap, QuotientLattice,
                         SmithDecomposition, cokernel_index, dual_map,
                         kernel_basis, quotient_lattice, section_of_surjection,
                         smith_normal_form)
 from .morphism import (EMPTY, FanMap, FiberComponent, FiberReport,
                        FibrationCertificate, LightedPart, RelativeStar,
-                       is_map_of_fans)
+                       is_map_of_fans, star)
 from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
                         dual_polytope, face_polytope, facet_count,
                         interior_lattice_points, is_reflexive, lattice_points,

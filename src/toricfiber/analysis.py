@@ -6,7 +6,7 @@ polynomial moduli count, and the scripted desingularization pipeline.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -243,31 +243,25 @@ class ResolveReport:
     fan: Fan
     steps: tuple[ResolveStep, ...]
     smooth: bool
-    primitive_over: dict | None = field(default=None)
-    generic_fiber_rays: tuple[Vec, ...] | None = field(default=None)
+    primitive_over: dict
+    generic_fiber_rays: tuple[Vec, ...]
 
 
-def resolve_pipeline(fan: Fan, rays, phi: LatticeMap | None = None,
-                     target: Fan | None = None) -> ResolveReport:
-    """Sequential star subdivisions, with an optional fibration summary.
-
-    When phi and target are supplied, the report carries the updated
-    primitive-cone sets per target cone and the refined generic fiber.
-    """
+def resolve_pipeline(fan: Fan, rays, phi: LatticeMap,
+                     target: Fan) -> ResolveReport:
+    """Sequential star subdivisions of the source fan of phi, with the
+    updated primitive-cone sets per target cone and the refined generic
+    fiber."""
     current = fan
     steps = []
     for r in rays:
         current = star_subdivide(current, r)
         steps.append(ResolveStep(tuple(r), len(current.maximal_cones)))
     smooth = current.is_smooth()
-    primitive_over = None
-    generic_rays = None
-    if phi is not None and target is not None:
-        fm = FanMap(phi, current, target)
-        primitive_over = {
-            sigma: tuple(fm.primitive_cones(sigma))
-            for sigma in fm.image_fan().all_cone_indices}
-        generic_rays = tuple(sorted(fm.relative_star((), ()).fan.rays))
+    fm = FanMap(phi, current, target)
+    primitive_over = {sigma: tuple(fm.primitive_cones(sigma))
+                      for sigma in fm.image_fan().all_cone_indices}
+    generic_rays = tuple(sorted(fm.relative_star((), ()).fan.rays))
     return ResolveReport(current, tuple(steps), smooth, primitive_over,
                          generic_rays)
 

@@ -1,6 +1,6 @@
-"""Equivariant line bundles as piecewise linear weight systems, their
-section bases, and the restriction / regrouping calculus for sections
-along orbit closures and fiber components.
+"""Equivariant line bundles as piecewise linear weight systems, and the
+restriction / regrouping calculus for their sections along orbit
+closures and fiber components.
 
 Coefficients in sections are exact rationals or opaque string labels;
 labels survive regrouping untouched, which is all the symbolic algebra
@@ -93,15 +93,6 @@ def same_bundle(h1: PLFunction, h2: PLFunction) -> bool:
 
 
 @dataclass(frozen=True)
-class SectionBasisElement:
-    exponent: Vec
-
-
-def sections_basis(p: Polytope) -> list[SectionBasisElement]:
-    return [SectionBasisElement(m) for m in lattice_points(p)]
-
-
-@dataclass(frozen=True)
 class LaurentSection:
     """Finite sum of characters; coefficients are Fractions or labels."""
 
@@ -113,8 +104,8 @@ class LaurentSection:
                                 key=lambda t: t[0])))
 
     @classmethod
-    def generic(cls, p: Polytope, prefix: str = "a") -> "LaurentSection":
-        return cls.from_dict({m: f"{prefix}{m}" for m in lattice_points(p)})
+    def generic(cls, p: Polytope) -> "LaurentSection":
+        return cls.from_dict({m: f"a{m}" for m in lattice_points(p)})
 
     def __len__(self):
         return len(self.terms)
@@ -157,10 +148,6 @@ def pullback_bundle(f: FanMap, p2: Polytope) -> Polytope:
     support_vertices(p2, f.target)
     phi_t = dual_map(f.phi)
     return Polytope([phi_t.apply(v) for v in p2.vertices])
-
-
-def pullback_section_exponent(f: FanMap, m: Vec) -> Vec:
-    return dual_map(f.phi).apply(m)
 
 
 @dataclass(frozen=True)
@@ -268,8 +255,7 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
             raise ValueError("xi is not a section of the quotient surjection")
     restricted, restriction = restrict_section_to_orbit_closure(
         s, tau_idx, p, m.source)
-    proj, star = m.project_polytope(restriction, tau_idx, sigma_idx)
-    fiber_mat = _fiber_matrix(star, restriction)
+    fiber_mat = _fiber_matrix(m.relative_star(tau_idx, sigma_idx), restriction)
     pair = tuple(tuple(vdot(q, b) for b in restriction.chart.basis)
                  for q in q_src.quotient_basis)
     # coords of a chart point in (N'/N'_tau)^* come from pairing with the

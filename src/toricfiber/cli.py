@@ -18,7 +18,7 @@ from .analysis import (DISCRIMINANTS, adjunction_genus, discriminant_eval,
                        facet_interior_sum, fiber_pattern_note,
                        intersection_table, moduli_dimension, resolve_pipeline)
 from .bundles import (LaurentSection, fibred_form, homogeneous_form,
-                      restrict_section_to_orbit_closure, sections_basis)
+                      restrict_section_to_orbit_closure)
 from .documents import (Document, DocumentError, fan_document,
                         fan_from_document, lattice_map_from_document, parse,
                         polytope_document, polytope_from_document, serialize)
@@ -394,7 +394,7 @@ def bundle():
 def bundle_sections(input_path, fmt):
     p = _polytope(input_path)
     em = Emitter(fmt)
-    em.add("sections", len(sections_basis(p)))
+    em.add("sections", len(lattice_points(p)))
     em.flush()
 
 

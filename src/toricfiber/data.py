@@ -130,11 +130,8 @@ def base_ray_names() -> list[str]:
     return list(BASE_RAYS)
 
 
-def total_ray_names(resolved: bool = False) -> list[str]:
-    names = list(TOTAL_RAYS)
-    if resolved:
-        names += RESOLUTION_ORDER
-    return names
+def total_ray_names() -> list[str]:
+    return list(TOTAL_RAYS)
 
 
 def cone_indices_from_names(names, table) -> tuple[int, ...]:

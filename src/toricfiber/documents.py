@@ -1,4 +1,4 @@
-"""Plain-text documents for lattice maps, fans, polytopes and sections.
+"""Plain-text documents for lattice maps, fans and polytopes.
 One line-oriented format, versioned per kind; serialization
 is canonical so round-trips are stable byte-for-byte.
 """
@@ -6,14 +6,13 @@ is canonical so round-trips are stable byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fans import Fan
 from .intlinalg import LatticeMap, is_primitive, is_zero
 from .polytopes import Polytope
 
 MAGIC = "toricfiber"
-KINDS = ("lattice_map", "fan", "polytope", "section")
+KINDS = ("lattice_map", "fan", "polytope")
 VERSION = "v1"
 
 
@@ -56,7 +55,6 @@ def parse(text: str) -> Document:
         "lattice_map": _parse_lattice_map,
         "fan": _parse_fan,
         "polytope": _parse_polytope,
-        "section": _parse_section,
     }[kind]
     return Document(kind, version, parser(rows))
 
@@ -151,35 +149,6 @@ def _parse_polytope(lines):
     return {"rank": rank, "vertices": tuple(verts)}
 
 
-def _parse_coefficient(token: str, line: int):
-    try:
-        return Fraction(token)
-    except ValueError:
-        return token  # opaque symbolic label
-
-
-def _parse_section(lines):
-    rank = _expect_count(lines, 1, "rank")
-    terms = {}
-    for no, ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] != "term":
-            raise DocumentError(f"unexpected line {parts[0]!r} in section", no)
-        if "=" not in parts:
-            raise DocumentError("term line is missing '='", no)
-        eq = parts.index("=")
-        exp = _ints(parts[1:eq], no)
-        if len(exp) != rank:
-            raise DocumentError(f"exponent has {len(exp)} coordinates, "
-                                f"expected {rank}", no)
-        if len(parts) != eq + 2:
-            raise DocumentError("term line needs exactly one coefficient", no)
-        if exp in terms:
-            raise DocumentError(f"duplicate exponent {exp}", no)
-        terms[exp] = _parse_coefficient(parts[eq + 1], no)
-    return {"rank": rank, "terms": terms}
-
-
 def serialize(doc: Document) -> str:
     out = [f"{MAGIC} {doc.kind} {doc.version}"]
     p = doc.payload
@@ -198,11 +167,6 @@ def serialize(doc: Document) -> str:
         out.append(f"rank {p['rank']}")
         out.extend("vertex " + " ".join(str(x) for x in v)
                    for v in sorted(p["vertices"]))
-    elif doc.kind == "section":
-        out.append(f"rank {p['rank']}")
-        for exp in sorted(p["terms"]):
-            out.append("term " + " ".join(str(x) for x in exp)
-                       + f" = {p['terms'][exp]}")
     else:  # pragma: no cover
         raise DocumentError(f"unknown kind {doc.kind}")
     return "\n".join(out) + "\n"
@@ -211,12 +175,10 @@ def serialize(doc: Document) -> str:
 # -- conversions -------------------------------------------------------------
 
 
-def fan_document(fan: Fan, ray_names=None) -> Document:
-    names = list(ray_names) if ray_names else \
-        [f"r{i}" for i in range(len(fan.rays))]
+def fan_document(fan: Fan, ray_names) -> Document:
     return Document("fan", VERSION, {
-        "rank": fan.rank, "ray_names": tuple(names), "rays": tuple(fan.rays),
-        "cones": tuple(fan.maximal_cones)})
+        "rank": fan.rank, "ray_names": tuple(ray_names),
+        "rays": tuple(fan.rays), "cones": tuple(fan.maximal_cones)})
 
 
 def fan_from_document(doc: Document) -> tuple[Fan, tuple[str, ...]]:
@@ -249,4 +211,6 @@ def lattice_map_document(m: LatticeMap) -> Document:
 def lattice_map_from_document(doc: Document) -> LatticeMap:
     if doc.kind != "lattice_map":
         raise DocumentError(f"expected a lattice_map document, got {doc.kind}")
-    return LatticeMap(doc.payload["matrix"])
+    p = doc.payload
+    return LatticeMap.from_columns([tuple(row[j] for row in p["matrix"])
+                                    for j in range(p["cols"])])

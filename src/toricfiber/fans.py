@@ -12,14 +12,14 @@ face relation is inclusion of ray index sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
 from .geometry import cone_halfspaces, dual_description, intersect_cones
 from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
-                        mat_vec, primitivize, quotient_lattice,
-                        smith_normal_form, solve_unimodular, vdot)
+                        mat_vec, primitivize, smith_normal_form,
+                        solve_unimodular, vdot)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ class Fan:
 
     def _close_faces(self, listed):
         """Close the listed cones under faces; the maximal cones are the
-        listed ones that are not a proper face of another.  Larger cones go
-        first, so a listed face of one of them is already closed."""
+        listed ones, other than the zero cone, that are not a proper face of
+        another.  Larger cones go first, so a listed face of one of them is
+        already closed."""
         self._cones[()] = Cone((), self.rank)
         proper = set()
         for top in sorted(listed, key=len, reverse=True):
@@ -169,7 +170,9 @@ class Fan:
                 proper.add(f)
                 if f not in self._cones:
                     self._cones[f] = self._cone_from_indices(f)
-        self.maximal_cones = tuple(c for c in listed if c not in proper)
+                    if cone.is_simplicial:  # so is its face, of dim len(f)
+                        object.__setattr__(self._cones[f], "dim", len(f))
+        self.maximal_cones = tuple(c for c in listed if c and c not in proper)
 
     def _validate_cones(self):
         for idx in self.maximal_cones:
@@ -284,9 +287,6 @@ class Fan:
                 return tuple(idx[i] for i in face)
         return None
 
-    def support_contains(self, v: Vec) -> bool:
-        return any(self._cones[idx].contains(v) for idx in self.maximal_cones)
-
     def is_smooth(self) -> bool:
         for idx in self.maximal_cones:
             cone = self._cones[idx]
@@ -330,37 +330,12 @@ def zero_fan(rank: int) -> Fan:
     return Fan(rank, [], [])
 
 
-def star(f: Fan, tau_idx) -> "StarFan":
-    """Star of a cone: the fan of images in N / N_tau of cones containing tau."""
-    tau_idx = tuple(sorted(tau_idx))
-    if not f.has_cone(tau_idx):
-        raise ValueError("cone is not in the fan")
-    tau = f.cone(tau_idx)
-    quot = quotient_lattice(f.rank, tau.generators)
-    containing = [c for c in f.maximal_cones if f.is_face(tau_idx, c)]
-    cones = []
-    for c in containing:
-        gens = [quot.project(f.rays[i]) for i in c if i not in tau_idx]
-        cones.append([g for g in gens if not is_zero(g)])
-    if not any(cones):
-        return StarFan(zero_fan(quot.rank), quot)
-    return StarFan(fan_from_cones(quot.rank, cones), quot)
-
-
-@dataclass(frozen=True)
-class StarFan:
-    """A star fan together with the quotient that defines its coordinates."""
-
-    fan: Fan
-    quotient: object = field(repr=False)
-
-
 def star_subdivide(f: Fan, r: Vec) -> Fan:
     """Star subdivision of a simplicial fan at a primitive lattice ray."""
     r = tuple(int(x) for x in r)
     if not is_primitive(r):
         raise ValueError("subdivision ray must be primitive")
-    if not f.support_contains(r):
+    if f.locate_relint(r) is None:
         raise ValueError("subdivision ray lies outside the fan support")
     rays = list(f.rays)
     if r in rays:

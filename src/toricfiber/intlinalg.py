@@ -215,14 +215,17 @@ def solve_unimodular(a, t):
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Homomorphism between lattices, acting on column vectors."""
+    """Homomorphism between lattices, acting on column vectors.  The source
+    rank is kept beside the rows, so a map to the zero lattice keeps it."""
 
     matrix: tuple[tuple[int, ...], ...]
+    source_rank: int = field(init=False)
 
     def __post_init__(self):
-        rows = {len(r) for r in self.matrix}
-        if len(rows) > 1:
+        widths = {len(r) for r in self.matrix}
+        if len(widths) > 1:
             raise ValueError("ragged matrix")
+        object.__setattr__(self, "source_rank", widths.pop() if widths else 0)
 
     @classmethod
     def from_rows(cls, rows) -> "LatticeMap":
@@ -230,7 +233,16 @@ class LatticeMap:
 
     @classmethod
     def from_columns(cls, cols) -> "LatticeMap":
-        return cls.from_rows(zip(*cols)) if cols else cls(())
+        cols = list(cols)
+        return cls._shaped(zip(*cols), len(cols))
+
+    @classmethod
+    def _shaped(cls, rows, source_rank: int) -> "LatticeMap":
+        """The map from Z^source_rank with these rows, which cannot tell
+        the source rank when there are none."""
+        m = cls.from_rows(rows)
+        object.__setattr__(m, "source_rank", source_rank)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "LatticeMap":
@@ -240,13 +252,7 @@ class LatticeMap:
     def target_rank(self) -> int:
         return len(self.matrix)
 
-    @property
-    def source_rank(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
     def apply(self, v: Vec) -> Vec:
-        if not self.matrix:
-            return ()
         if len(v) != self.source_rank:
             raise ValueError("vector length does not match source rank")
         return mat_vec(self.matrix, v)
@@ -255,8 +261,9 @@ class LatticeMap:
         """self after other."""
         if self.source_rank != other.target_rank:
             raise ValueError("rank mismatch in composition")
-        return LatticeMap.from_rows(mat_mul([list(r) for r in self.matrix],
-                                            [list(r) for r in other.matrix]))
+        cols = other.columns()
+        return LatticeMap._shaped([[vdot(row, c) for c in cols]
+                                   for row in self.matrix], other.source_rank)
 
     def columns(self) -> list[Vec]:
         return [tuple(row[j] for row in self.matrix) for j in range(self.source_rank)]
@@ -264,7 +271,7 @@ class LatticeMap:
 
 def dual_map(f: LatticeMap) -> LatticeMap:
     """Transpose: <dual_map(f)(u), v> = <u, f(v)>."""
-    return LatticeMap.from_rows(mat_transpose([list(r) for r in f.matrix]))
+    return LatticeMap._shaped(f.columns(), f.target_rank)
 
 
 _SWAP, _ADD, _NEG = range(3)

@@ -1,6 +1,7 @@
 """Toric morphism analysis for a map of fans: image fan, per-orbit fiber
 structure (primitive cones, relative stars, indices), the fibration
-criterion, and the flattening stratification.
+criterion, the flattening stratification, and the star of a cone, which
+is its relative star over the map to a point.
 
 A FanMap validates the defining condition at construction.  Analysis of
 maps that are not surjective over R is routed through the factorization
@@ -133,12 +134,12 @@ class FanMap:
 
     @cached_property
     def _image_data(self):
-        """(image fan, phi in image coords, embedding of image lattice)."""
+        """(image fan, phi in image coords)."""
         snf = smith_normal_form(self.phi.matrix)
         r = snf.rank
         n = self.target.rank
         if r == n:
-            return self.target, self.phi, LatticeMap.identity(n)
+            return self.target, self.phi
         basis = [tuple(snf.U[i][j] for i in range(n)) for j in range(r)]
         in_image = SublatticeCoords.of(basis)
         cones = []
@@ -161,12 +162,7 @@ class FanMap:
                 raise InvariantError(
                     f"image lattice: phi column {col} is outside the image")
             phi_img_cols.append(coords)
-        phi_img = LatticeMap.from_columns(phi_img_cols)
-        embed = LatticeMap.from_columns(basis)
-        if not any(cones):
-            return zero_fan(r), phi_img, embed
-        fan = fan_from_cones(r, [c for c in cones if c])
-        return fan, phi_img, embed
+        return fan_from_cones(r, cones), LatticeMap.from_columns(phi_img_cols)
 
     def image_fan(self) -> Fan:
         return self._image_data[0]
@@ -196,7 +192,10 @@ class FanMap:
         return out
 
     def sigma_of(self, sigma_prime_idx):
-        return self._sigma_of[tuple(sorted(sigma_prime_idx))]
+        sigma_prime_idx = tuple(sorted(sigma_prime_idx))
+        if sigma_prime_idx not in self._sigma_of:
+            raise ValueError(f"{sigma_prime_idx} is not a cone of the source fan")
+        return self._sigma_of[sigma_prime_idx]
 
     @cached_property
     def _members(self) -> dict:
@@ -296,17 +295,18 @@ class FanMap:
                 projected[i] = quot.project(stratum.ray_coords[i])
             return projected[i]
 
+        # the images of a simplicial member modulo its face tau are
+        # independent; those of any other member may include inner rays
         cones = []
         for sp in self._members[sigma_idx]:
             if not self.source.is_face(tau_idx, sp):
                 continue
             gens = [project(i) for i in sp if i not in tau_idx]
-            cones.append([g for g in gens if not is_zero(g)])
-        if not any(cones):
-            star_fan = zero_fan(quot.rank)
-        else:
-            star_fan = fan_from_cones(quot.rank, [c for c in cones if c] or [[]])
-        return RelativeStar(star_fan, tau_idx, sigma_idx, lifts)
+            if not self.source.cone(sp).is_simplicial:
+                gens = Cone.make(gens, quot.rank).generators
+            cones.append(gens)
+        return RelativeStar(fan_from_cones(quot.rank, cones), tau_idx,
+                            sigma_idx, lifts)
 
     def component_label(self, star: RelativeStar) -> str:
         fan = star.fan
@@ -452,6 +452,13 @@ class FanMap:
         verts = [star.dual_coords(vsub(chart.from_chart(v), chart.origin))
                  for v in restriction.polytope.vertices]
         return Polytope(verts), star
+
+
+def star(f: Fan, tau_idx) -> Fan:
+    """Star of a cone of f, the fan of its orbit closure V(tau) in
+    N / N_tau: the relative star of tau over the map of f to a point."""
+    to_point = FanMap(LatticeMap.from_columns([()] * f.rank), f, zero_fan(0))
+    return to_point.relative_star(tau_idx, ()).fan
 
 
 def _same_cone(a: Cone, b: Cone) -> bool:

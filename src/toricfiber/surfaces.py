@@ -34,10 +34,17 @@ CATALOG_RAYS = {
 
 
 def complete_fan_from_rays(rays) -> Fan:
-    """Complete 2-dim fan whose maximal cones join angle-adjacent rays."""
+    """Complete 2-dim fan whose maximal cones join angle-adjacent rays.
+    The rays must span the plane positively: each turns less than a
+    half-turn counterclockwise to the next."""
     ordered = order_counterclockwise(rays)
     cones = [[ordered[i], ordered[(i + 1) % len(ordered)]]
              for i in range(len(ordered))]
+    for a, b in cones:
+        if a[0] * b[1] - a[1] * b[0] <= 0:
+            raise ValueError(
+                f"rays do not span the plane positively: {a} to its "
+                f"counterclockwise neighbour {b} turns a half-turn or more")
     return fan_from_cones(2, cones)
 
 

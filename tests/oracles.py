@@ -13,12 +13,15 @@ through facets and tested pairwise, and the index of a stratum is taken
 member by member, the way the library did before it read both off the
 fan and the stratum.  Surfaces and planar point sets are matched by the
 searches over unimodular solves that the GL(2,Z) normal forms replaced.
+The star of a simplicial cone is taken in the quotient by its own rays,
+the way the library did before a star became a relative star.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
+from toricfiber.fans import fan_from_cones, zero_fan
 from toricfiber.geometry import HullData, cone_halfspaces, dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   is_zero, kernel_basis, lin_comb, mat_mul,
@@ -412,6 +415,21 @@ def member_index(m, sigma_idx, sp):
     if not cols:
         return INFINITE, image
     return cokernel_index(LatticeMap.from_columns(cols)), image
+
+
+def quotient_star(f, tau_idx):
+    """Star of a simplicial cone of f: the fan of the images in N / N_tau,
+    N_tau spanned by the rays of tau, of the maximal cones containing it."""
+    tau_idx = tuple(sorted(tau_idx))
+    quot = quotient_lattice(f.rank, f.cone(tau_idx).generators)
+    cones = []
+    for c in f.maximal_cones:
+        if f.is_face(tau_idx, c):
+            gens = [quot.project(f.rays[i]) for i in c if i not in tau_idx]
+            cones.append([g for g in gens if not is_zero(g)])
+    if not any(cones):
+        return zero_fan(quot.rank)
+    return fan_from_cones(quot.rank, cones)
 
 
 # -- surface and planar-set equivalence by search, the way the library

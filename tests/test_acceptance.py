@@ -20,11 +20,10 @@ from toricfiber.analysis import (DISCRIMINANTS, adjunction_genus,
                                  intersection_table, moduli_dimension,
                                  resolve_pipeline)
 from toricfiber.bundles import LaurentSection, fibred_form
-from toricfiber.fans import (fan_equal, fan_isomorphic,
-                             singular_locus_cones, star)
+from toricfiber.fans import fan_equal, fan_isomorphic, singular_locus_cones
 from toricfiber.intlinalg import (LatticeMap, mat_det, mat_mul, mat_vec,
                                   smith_normal_form)
-from toricfiber.morphism import FanMap, is_map_of_fans
+from toricfiber.morphism import FanMap, is_map_of_fans, star
 from toricfiber.polytopes import (Polytope, dual_polytope, is_reflexive,
                                   lattice_points, normal_fan,
                                   restriction_polytope)
@@ -399,10 +398,10 @@ def test_criterion_10_resolution():
     locus = {data.cone_name(names, c): total.cone(c).multiplicity()
              for c in singular_locus_cones(total)}
     assert locus == {"v5'.b'": 2, "v4'.b'": 3, "v4'.e1'.e2'": 3}
-    assert fan_isomorphic(star(total, data.total_cone("v5' b'")).fan,
+    assert fan_isomorphic(star(total, data.total_cone("v5' b'")),
                           data.base_fan()) is not None
     s = star(total, data.total_cone("v4' e1' e2'"))
-    assert set(s.fan.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    assert set(s.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     rep = resolve_pipeline(total,
                            [data.RESOLUTION_RAYS[n]
                             for n in data.RESOLUTION_ORDER],

@@ -173,7 +173,7 @@ def test_resolve_pipeline():
     assert set(rep.generic_fiber_rays) == {(1, 1), (2, 3), (1, 2), (0, 1),
                                            (-1, 0), (0, -1)}
     r1 = data.base_cone("r1")
-    rnames = data.total_ray_names(resolved=True)
+    rnames = data.total_ray_names() + data.RESOLUTION_ORDER
     got = {data.cone_name(rnames, t) for t in rep.primitive_over[r1]}
     assert got == {"e1'", "e2'", "e3'", "e4'"}
     # other stratum types keep their primitive cones

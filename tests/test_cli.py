@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from toricfiber import data
 from toricfiber.cli import cli, main, pipeline_report_lines
 from toricfiber.documents import fan_document, serialize
+from toricfiber.surfaces import catalog_fan
 
 
 def run(*args):
@@ -100,6 +101,22 @@ def test_input_document_flow(tmp_path):
     out = run("fan", "check", "--input", str(path),
               "--format", "structured").output
     assert "cones_total: 33" in out
+
+
+def test_stratify_over_a_point(tmp_path):
+    paths = {}
+    for name, text in (
+            ("map", "toricfiber lattice_map v1\nrows 0\ncols 2\n"),
+            ("source", serialize(fan_document(
+                catalog_fan("X(5)"), ["a", "b", "c", "d", "e"]))),
+            ("target", "toricfiber fan v1\nrank 0\n")):
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    res = run("morphism", "stratify", "--map", str(paths["map"]),
+              "--source", str(paths["source"]),
+              "--target", str(paths["target"]), "--format", "structured")
+    assert res.exit_code == 0
+    assert res.output == "0: Ind=1 primitive=[0] components=[X(5)]\n"
 
 
 def test_fan_check_drops_a_listed_face(tmp_path):

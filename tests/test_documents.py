@@ -91,18 +91,19 @@ def test_lattice_map_bad_row():
     assert "line 5" in str(err.value)
 
 
-def test_section_roundtrip():
-    text = ("toricfiber section v1\nrank 2\n"
-            "term 0 0 = 3/4\nterm 1 2 = a(1,2)\nterm -1 0 = -2\n")
-    doc = roundtrip(text)
-    assert doc.payload["terms"][(0, 0)] == __import__("fractions").Fraction(3, 4)
-    assert doc.payload["terms"][(1, 2)] == "a(1,2)"
+def test_lattice_map_to_the_zero_lattice_keeps_its_source_rank():
+    text = "toricfiber lattice_map v1\nrows 0\ncols 5\n"
+    m = lattice_map_from_document(roundtrip(text))
+    assert (m.target_rank, m.source_rank) == (0, 5)
+    assert serialize(lattice_map_document(m)) == text
 
 
-def test_section_duplicate_exponent():
-    text = "toricfiber section v1\nrank 1\nterm 0 = 1\nterm 0 = 2\n"
-    with pytest.raises(DocumentError):
+def test_section_kind_is_rejected_on_line_1():
+    text = "toricfiber section v1\nrank 1\nterm 0 = 1\n"
+    with pytest.raises(DocumentError) as err:
         parse(text)
+    assert "unknown document kind 'section'" in str(err.value)
+    assert err.value.line == 1
 
 
 def test_kind_mismatch_conversions():

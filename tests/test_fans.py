@@ -4,12 +4,14 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import face_table, facet_closure, scan_locate_relint
+from oracles import (face_table, facet_closure, quotient_star,
+                     scan_locate_relint)
 from toricfiber import data
-from toricfiber.fans import (Cone, Fan, fan_equal, fan_isomorphic,
-                             singular_locus_cones, star, star_subdivide,
-                             zero_fan)
+from toricfiber.fans import (Cone, Fan, fan_equal, fan_from_cones,
+                             fan_isomorphic, singular_locus_cones,
+                             star_subdivide, zero_fan)
 from toricfiber.intlinalg import is_zero, lin_comb, mat_vec, primitivize
+from toricfiber.morphism import star
 from toricfiber.polytopes import Polytope, normal_fan
 
 
@@ -119,15 +121,40 @@ def test_contains_relint():
 def test_star_at_zero_is_self():
     f = data.base_fan()
     s = star(f, ())
-    assert fan_equal(s.fan, f)
+    assert fan_equal(s, f)
 
 
 def test_star_of_singular_cones():
     total = data.total_fan()
     s = star(total, data.total_cone("v5' b'"))
-    assert fan_isomorphic(s.fan, data.base_fan()) is not None
+    assert fan_isomorphic(s, data.base_fan()) is not None
     s = star(total, data.total_cone("v4' e1' e2'"))
-    assert set(s.fan.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    assert set(s.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    with pytest.raises(ValueError):
+        star(total, data.total_cone("v4' v6'") + data.total_cone("v1'"))
+
+
+def test_star_matches_the_quotient_star_on_the_total_fan():
+    total = data.total_fan()
+    for tau in total.all_cone_indices:
+        got, expected = star(total, tau), quotient_star(total, tau)
+        assert got.rank == expected.rank == 5 - len(tau)
+        if expected.maximal_cones:
+            assert fan_isomorphic(got, expected) is not None, tau
+        else:
+            assert got.maximal_cones == () and got.rays == ()
+
+
+def test_stars_of_non_simplicial_fans_are_complete():
+    octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+    cube = Polytope([(a, b, c) for a in (-1, 1) for b in (-1, 1)
+                     for c in (-1, 1)])
+    for f in (normal_fan(octahedron), normal_fan(cube)):
+        for tau in f.all_cone_indices:
+            s = star(f, tau)
+            assert s.is_complete(), tau
+            assert s.rank == 3 - f.cone(tau).dim
 
 
 def test_star_subdivide_smooth_cone():
@@ -154,7 +181,7 @@ def test_star_subdivide_preserves_support():
     for name in data.RESOLUTION_ORDER:
         g = star_subdivide(g, data.RESOLUTION_RAYS[name])
     for c in total.maximal_cones:
-        assert g.support_contains(total.cone(c).relint_point())
+        assert g.locate_relint(total.cone(c).relint_point()) is not None
     assert g.is_smooth()
 
 
@@ -178,6 +205,15 @@ def test_zero_fan():
     f = zero_fan(3)
     assert f.all_cone_indices == [()]
     assert not f.is_complete()
+
+
+def test_zero_fan_has_one_form():
+    for r in (0, 2):
+        forms = [zero_fan(r), Fan(r, [], [[]]), fan_from_cones(r, [[]])]
+        for f in forms:
+            assert f.maximal_cones == ()
+            assert f.is_complete() == (r == 0)
+            assert f.f_vector() == forms[0].f_vector() == (1,) + (0,) * r
 
 
 def test_locate_relint_matches_scan_of_every_cone():

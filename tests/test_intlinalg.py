@@ -129,6 +129,24 @@ def test_dual_map_pairing():
             assert vdot(ft.apply(u), v) == vdot(u, f.apply(v))
 
 
+def test_lattice_maps_keep_both_ranks():
+    def ranks(m):
+        return m.target_rank, m.source_rank
+
+    to_point = LatticeMap.from_columns([()] * 5)
+    assert ranks(to_point) == (0, 5)
+    assert to_point.apply((1, 2, 3, 4, 5)) == ()
+    assert ranks(dual_map(to_point)) == (5, 0)
+    assert dual_map(dual_map(to_point)) == to_point
+    assert to_point != LatticeMap(())
+    assert ranks(to_point.compose(LatticeMap.identity(5))) == (0, 5)
+    from_point = LatticeMap.from_rows([()] * 3)
+    assert ranks(from_point.compose(to_point)) == (3, 5)
+    assert from_point.compose(to_point).matrix == ((0,) * 5,) * 3
+    with pytest.raises(ValueError):
+        to_point.apply((1, 2))
+
+
 def test_remark_index_identity_doubling():
     # doubling Z -> Z: [N : phi(N')] = 2 = Ind(0) * [N_sigma : N_sigma cap phi(N')]
     phi = LatticeMap.from_rows([[2]])

@@ -2,11 +2,12 @@ import pytest
 
 from oracles import member_index
 from toricfiber import data
-from toricfiber.fans import Fan, fan_equal
+from toricfiber.fans import Fan, fan_equal, zero_fan
 from toricfiber.intlinalg import LatticeMap, cokernel_index
 from toricfiber.morphism import EMPTY, FanMap, is_map_of_fans
-from toricfiber.polytopes import (Polytope, lattice_points,
+from toricfiber.polytopes import (Polytope, lattice_points, normal_fan,
                                   restriction_polytope)
+from toricfiber.surfaces import catalog_fan
 
 
 def line_fan():
@@ -316,3 +317,29 @@ def test_empty_intersection_recorded():
     rep = bundled.fiber_report(data.base_cone("r2"))
     (pair,) = [k for k in rep.intersections]
     assert rep.intersections[pair] != EMPTY
+
+
+def test_relative_star_over_a_non_simplicial_source():
+    # (normal fan of the octahedron) x P1 -> P1; its maximal cones over
+    # the cube's faces are not simplicial
+    octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+    nf = normal_fan(octahedron)
+    n = len(nf.rays)
+    rays = [r + (0,) for r in nf.rays] + [(0, 0, 0, 1), (0, 0, 0, -1)]
+    cones = [c + (k,) for k in (n, n + 1) for c in nf.maximal_cones]
+    m = FanMap(LatticeMap.from_rows([[0, 0, 0, 1]]), Fan(4, rays, cones),
+               line_fan())
+    s = m.relative_star((0,), ())
+    assert s.rank == 2 and s.fan.is_complete()
+
+
+def test_map_to_a_point_is_a_fibration():
+    source = catalog_fan("X(5)")
+    m = FanMap(LatticeMap.from_columns([(), ()]), source, zero_fan(0))
+    assert (m.phi.target_rank, m.phi.source_rank) == (0, 2)
+    table = m.flattening_stratification()
+    assert [(sigma, rep.index, [c.label for c in rep.components])
+            for sigma, rep in table] == [((), 1, ["X(5)"])]
+    assert m.is_fibration().is_fibration
+    assert fan_equal(m.relative_star((), ()).fan, source)

@@ -58,6 +58,19 @@ def test_identification_unimodular_invariance():
             assert identify_surface(twisted) == label
 
 
+def test_complete_fan_from_rays_rejects_rays_that_leave_a_half_plane():
+    for rays, pair in (([(1, 0), (0, 1)], "(0, 1) to its counterclockwise "
+                        "neighbour (1, 0)"),
+                       ([(1, 0), (0, 1), (-1, 1), (2, -1)], "(-1, 1) to its "
+                        "counterclockwise neighbour (2, -1)"),
+                       ([(1, 0), (0, 1), (-1, 1), (1, -1)], "(-1, 1) to its "
+                        "counterclockwise neighbour (1, -1)")):
+        with pytest.raises(ValueError) as err:
+            complete_fan_from_rays(rays)
+        assert "do not span the plane positively" in str(err.value)
+        assert pair in str(err.value)
+
+
 def test_unknown_surface():
     f = complete_fan_from_rays([(1, 0), (0, 1), (-1, 5), (0, -1)])
     assert identify_surface(f) == UNKNOWN
