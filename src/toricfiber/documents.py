@@ -149,24 +149,27 @@ def _parse_polytope(lines):
     return {"rank": rank, "vertices": tuple(verts)}
 
 
+def _line(*tokens) -> str:
+    """One document line; a key with no values gets no trailing space."""
+    return " ".join(str(t) for t in tokens)
+
+
 def serialize(doc: Document) -> str:
     out = [f"{MAGIC} {doc.kind} {doc.version}"]
     p = doc.payload
     if doc.kind == "lattice_map":
         out.append(f"rows {p['rows']}")
         out.append(f"cols {p['cols']}")
-        out.extend("row " + " ".join(str(x) for x in row)
-                   for row in p["matrix"])
+        out.extend(_line("row", *row) for row in p["matrix"])
     elif doc.kind == "fan":
         out.append(f"rank {p['rank']}")
         for name, vec in zip(p["ray_names"], p["rays"]):
-            out.append(f"ray {name} " + " ".join(str(x) for x in vec))
+            out.append(_line("ray", name, *vec))
         for cone in p["cones"]:
-            out.append("cone " + " ".join(p["ray_names"][i] for i in cone))
+            out.append(_line("cone", *(p["ray_names"][i] for i in cone)))
     elif doc.kind == "polytope":
         out.append(f"rank {p['rank']}")
-        out.extend("vertex " + " ".join(str(x) for x in v)
-                   for v in sorted(p["vertices"]))
+        out.extend(_line("vertex", *v) for v in sorted(p["vertices"]))
     else:  # pragma: no cover
         raise DocumentError(f"unknown kind {doc.kind}")
     return "\n".join(out) + "\n"
@@ -212,5 +215,4 @@ def lattice_map_from_document(doc: Document) -> LatticeMap:
     if doc.kind != "lattice_map":
         raise DocumentError(f"expected a lattice_map document, got {doc.kind}")
     p = doc.payload
-    return LatticeMap.from_columns([tuple(row[j] for row in p["matrix"])
-                                    for j in range(p["cols"])])
+    return LatticeMap._shaped(p["matrix"], p["cols"])

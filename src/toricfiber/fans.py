@@ -59,6 +59,16 @@ class Cone:
         rays, lin = dual_description(*self.halfspaces, self.ambient_rank)
         return None if lin else rays
 
+    def face(self, positions) -> "Cone":
+        """The face spanned by the generators at these positions, which
+        must span a face.  A face of a simplicial cone is simplicial, so its
+        dimension is its number of generators."""
+        face = Cone(tuple(self.generators[i] for i in positions),
+                    self.ambient_rank)
+        if self.is_simplicial:
+            face.__dict__["dim"] = len(positions)
+        return face
+
     def multiplicity(self) -> int:
         """Index of the subgroup generated by the rays inside the span lattice."""
         if not self.is_simplicial:
@@ -169,9 +179,7 @@ class Fan:
                 f = tuple(top[i] for i in sub)
                 proper.add(f)
                 if f not in self._cones:
-                    self._cones[f] = self._cone_from_indices(f)
-                    if cone.is_simplicial:  # so is its face, of dim len(f)
-                        object.__setattr__(self._cones[f], "dim", len(f))
+                    self._cones[f] = cone.face(sub)
         self.maximal_cones = tuple(c for c in listed if c and c not in proper)
 
     def _validate_cones(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
@@ -457,8 +457,14 @@ class FanMap:
 def star(f: Fan, tau_idx) -> Fan:
     """Star of a cone of f, the fan of its orbit closure V(tau) in
     N / N_tau: the relative star of tau over the map of f to a point."""
-    to_point = FanMap(LatticeMap.from_columns([()] * f.rank), f, zero_fan(0))
-    return to_point.relative_star(tau_idx, ()).fan
+    return _to_point(f).relative_star(tau_idx, ()).fan
+
+
+@lru_cache(maxsize=1)
+def _to_point(f: Fan) -> FanMap:
+    """The map of f to a point, kept for the last fan: a caller taking
+    the star of each cone in turn then sorts the cones over the point once."""
+    return FanMap(LatticeMap.from_columns([()] * f.rank), f, zero_fan(0))
 
 
 def _same_cone(a: Cone, b: Cone) -> bool:

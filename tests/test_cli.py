@@ -103,20 +103,37 @@ def test_input_document_flow(tmp_path):
     assert "cones_total: 33" in out
 
 
-def test_stratify_over_a_point(tmp_path):
-    paths = {}
-    for name, text in (
-            ("map", "toricfiber lattice_map v1\nrows 0\ncols 2\n"),
-            ("source", serialize(fan_document(
-                catalog_fan("X(5)"), ["a", "b", "c", "d", "e"]))),
-            ("target", "toricfiber fan v1\nrank 0\n")):
-        paths[name] = tmp_path / name
-        paths[name].write_text(text)
-    res = run("morphism", "stratify", "--map", str(paths["map"]),
-              "--source", str(paths["source"]),
-              "--target", str(paths["target"]), "--format", "structured")
+def stratify_structured(tmp_path, **texts):
+    """`morphism stratify` output on the map, source and target texts."""
+    args = ["morphism", "stratify", "--format", "structured"]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        args += [f"--{name}", str(tmp_path / name)]
+    res = run(*args)
     assert res.exit_code == 0
-    assert res.output == "0: Ind=1 primitive=[0] components=[X(5)]\n"
+    return res.output
+
+
+POINT_FAN = "toricfiber fan v1\nrank 0\n"
+
+
+def test_stratify_over_a_point(tmp_path):
+    out = stratify_structured(
+        tmp_path, map="toricfiber lattice_map v1\nrows 0\ncols 2\n",
+        source=serialize(fan_document(catalog_fan("X(5)"),
+                                      ["a", "b", "c", "d", "e"])),
+        target=POINT_FAN)
+    assert out == "0: Ind=1 primitive=[0] components=[X(5)]\n"
+
+
+def test_stratify_from_a_point(tmp_path):
+    out = stratify_structured(
+        tmp_path, map="toricfiber lattice_map v1\nrows 3\ncols 0\n"
+                      "row\nrow\nrow\n",
+        source=POINT_FAN,
+        target=serialize(fan_document(data.base_fan(),
+                                      data.base_ray_names())))
+    assert out == "0: Ind=1 primitive=[0] components=[point]\n"
 
 
 def test_fan_check_drops_a_listed_face(tmp_path):

@@ -91,10 +91,12 @@ def test_lattice_map_bad_row():
     assert "line 5" in str(err.value)
 
 
-def test_lattice_map_to_the_zero_lattice_keeps_its_source_rank():
-    text = "toricfiber lattice_map v1\nrows 0\ncols 5\n"
+@pytest.mark.parametrize("ranks, text", [
+    ((0, 5), "toricfiber lattice_map v1\nrows 0\ncols 5\n"),
+    ((3, 0), "toricfiber lattice_map v1\nrows 3\ncols 0\nrow\nrow\nrow\n")])
+def test_lattice_map_with_a_zero_rank_keeps_both_ranks(ranks, text):
     m = lattice_map_from_document(roundtrip(text))
-    assert (m.target_rank, m.source_rank) == (0, 5)
+    assert (m.target_rank, m.source_rank) == ranks
     assert serialize(lattice_map_document(m)) == text
 
 

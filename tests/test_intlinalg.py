@@ -141,6 +141,9 @@ def test_lattice_maps_keep_both_ranks():
     assert to_point != LatticeMap(())
     assert ranks(to_point.compose(LatticeMap.identity(5))) == (0, 5)
     from_point = LatticeMap.from_rows([()] * 3)
+    assert ranks(from_point) == (3, 0)
+    assert ranks(dual_map(from_point)) == (0, 3)
+    assert dual_map(dual_map(from_point)) == from_point
     assert ranks(from_point.compose(to_point)) == (3, 5)
     assert from_point.compose(to_point).matrix == ((0,) * 5,) * 3
     with pytest.raises(ValueError):
