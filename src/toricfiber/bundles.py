@@ -122,15 +122,24 @@ class LaurentSection:
 
 def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
                                       fan: Fan):
-    """Drop terms outside the restriction polytope and re-express the
-    survivors in the orthogonal-complement chart.
+    """Keep the terms on the face of P cut out by tau and re-express them
+    in the orthogonal-complement chart.
+
+    A term e is dropped up front unless <e, r> = <origin, r> for every
+    ray r of tau: the chart basis is a saturated basis of tau's
+    orthogonal complement, so an integral term is on the chart lattice
+    exactly when it pairs with tau like the origin.  The terms that pass
+    are still mapped through the chart and tested against P.
 
     Returns (restricted section, RestrictedPolytope).
     """
     restriction = restriction_polytope(p, tau_idx, fan)
     chart = restriction.chart
+    pins = [(r, vdot(r, chart.origin)) for r in (fan.rays[i] for i in tau_idx)]
     kept = {}
     for e, c in s.terms:
+        if any(vdot(r, e) != h for r, h in pins):
+            continue
         try:
             y = chart.to_chart(e)
         except ValueError:

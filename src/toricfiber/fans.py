@@ -399,6 +399,8 @@ def fan_isomorphic(f1: Fan, f2: Fan):
             len(f1.maximal_cones) != len(f2.maximal_cones):
         return None
     n = f1.rank
+    if not f1.maximal_cones:                # two zero fans of one rank
+        return [[int(i == j) for j in range(n)] for i in range(n)]
     anchor = f1.maximal_cones[0]
     a_gens = [f1.rays[i] for i in anchor]
     if len(a_gens) != n:

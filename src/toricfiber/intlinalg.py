@@ -450,6 +450,8 @@ def cokernel_index(f: LatticeMap):
 
 def kernel_basis(f: LatticeMap) -> list[Vec]:
     """Basis of ker(f) in the source lattice; the result is saturated."""
+    if not f.target_rank:       # no rows tell smith_normal_form the width
+        return [tuple(r) for r in _identity(f.source_rank)]
     snf = smith_normal_form(f.matrix)
     return [tuple(row[j] for row in snf.Vinv)
             for j in range(snf.rank, f.source_rank)]
@@ -507,6 +509,8 @@ def section_of_surjection(f: LatticeMap) -> LatticeMap:
     f is onto exactly when its Smith form has one diagonal entry per
     target row and every diagonal entry is 1.
     """
+    if not f.target_rank:       # the map to a point; see kernel_basis
+        return LatticeMap.from_rows([()] * f.source_rank)
     snf = smith_normal_form(f.matrix)
     if snf.rank < f.target_rank or any(d != 1 for d in snf.diagonal):
         raise ValueError("map is not a surjection of lattices")

@@ -3,7 +3,6 @@ polar duality, normal fans, and subspace restriction charts."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +27,7 @@ class Polytope:
         self.facets: tuple[tuple[Vec, int], ...] = tuple(hull.facets)
         self.equations: tuple[tuple[Vec, int], ...] = tuple(hull.equations)
         self._lattice_points = None
+        self._ray_minima: dict = {}
 
     @property
     def dim(self) -> int:
@@ -59,9 +59,13 @@ class Polytope:
     def lattice_points(self) -> list[Vec]:
         """All lattice points, lexicographically ordered.
 
-        Scans the bounding box in every coordinate but the last, and
-        solves the equations (as two inequalities each) and the facet
-        inequalities for the interval of the last coordinate.
+        Walks the bounding box one coordinate at a time, carrying each
+        inequality's partial sum; the equations count as two inequalities
+        each.  At every coordinate the inequalities are solved for the
+        interval of values from which the rest of the box can still
+        satisfy them all, so a prefix that no box point completes is never
+        extended, and at the last coordinate that interval is the run of
+        lattice points itself.
         """
         if self._lattice_points is None:
             self._lattice_points = self._scan() if self.ambient_rank else [()]
@@ -69,24 +73,42 @@ class Polytope:
 
     def _scan(self) -> list[Vec]:
         lo, hi = self.bounding_box()
-        rows = [(n[:-1], n[-1], c) for e, c0 in self.equations
-                for n, c in ((e, c0), (tuple(-x for x in e), -c0))]
-        rows += [(n[:-1], n[-1], c) for n, c in self.facets]
+        rows = list(self.equations)
+        rows += [(tuple(-x for x in e), -c) for e, c in self.equations]
+        rows += self.facets
+        last = self.ambient_rank - 1
+        # floors[k][i]: the least value of row i's sum over coordinates
+        # 0..k from which coordinates k+1.. of the box can still reach -c
+        floors = [None] * (last + 1)
+        reach = [0] * len(rows)
+        for k in range(last, -1, -1):
+            floors[k] = [-c - r for r, (_, c) in zip(reach, rows)]
+            reach = [r + max(n[k] * lo[k], n[k] * hi[k])
+                     for r, (n, _) in zip(reach, rows)]
+        columns = [[n[k] for n, _ in rows] for k in range(last + 1)]
         pts = []
-        for head in itertools.product(*map(range, lo[:-1], [h + 1 for h in hi[:-1]])):
-            a, b = lo[-1], hi[-1]
-            for n, t, c in rows:
-                r = -c - vdot(n, head)      # t * last >= r
+
+        def extend(k, head, partial):
+            a, b = lo[k], hi[k]
+            for t, f, s in zip(columns[k], floors[k], partial):
+                r = f - s                   # t * x >= r
                 if t > 0:
                     a = max(a, -(-r // t))
                 elif t < 0:
                     b = min(b, r // t)
                 elif r > 0:
-                    break
+                    return
                 if a > b:
-                    break
-            else:
+                    return
+            if k == last:
                 pts.extend(head + (x,) for x in range(a, b + 1))
+                return
+            column = columns[k]
+            for x in range(a, b + 1):
+                extend(k + 1, head + (x,),
+                       [s + t * x for s, t in zip(partial, column)])
+
+        extend(0, (), [0] * len(rows))
         return pts
 
     def facet_vertex_incidence(self):
@@ -100,6 +122,14 @@ class Polytope:
     def minimizing_vertices(self, direction) -> list[Vec]:
         best = min(vdot(v, direction) for v in self.vertices)
         return [v for v in self.vertices if vdot(v, direction) == best]
+
+    def _ray_minimum(self, ray) -> int:
+        """min <v, ray> over the vertices, kept per ray on first use."""
+        best = self._ray_minima.get(ray)
+        if best is None:
+            best = self._ray_minima[ray] = min(vdot(v, ray)
+                                               for v in self.vertices)
+        return best
 
 
 def facet_count(p: Polytope) -> int:
@@ -221,7 +251,7 @@ def support_vertex(p: Polytope, fan: Fan, cone_idx) -> Vec:
     """
     mins = p.minimizing_vertices(fan.cone(cone_idx).relint_point())
     rays = [fan.rays[i] for i in cone_idx]
-    if len(mins) != 1 or any(vdot(mins[0], r) != min(vdot(v, r) for v in p.vertices)
+    if len(mins) != 1 or any(vdot(mins[0], r) != p._ray_minimum(r)
                              for r in rays):
         raise ValueError("fan does not refine the normal fan of the polytope")
     return mins[0]

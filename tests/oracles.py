@@ -14,13 +14,17 @@ member by member, the way the library did before it read both off the
 fan and the stratum.  Surfaces and planar point sets are matched by the
 searches over unimodular solves that the GL(2,Z) normal forms replaced.
 The star of a simplicial cone is taken in the quotient by its own rays,
-the way the library did before a star became a relative star.
+the way the library did before a star became a relative star.  A section
+is restricted to an orbit closure by putting every term through the chart
+solve, the way the library did before it kept only the terms that pair
+with the cone like the chart origin.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
 
+from toricfiber.bundles import LaurentSection
 from toricfiber.fans import fan_from_cones, zero_fan
 from toricfiber.geometry import HullData, cone_halfspaces, dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
@@ -29,7 +33,7 @@ from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   quotient_lattice, saturate_columns,
                                   smith_normal_form, vadd, vdot, vsub)
 from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
-                                  restrict_to_subspace)
+                                  restrict_to_subspace, restriction_polytope)
 from toricfiber.surfaces import CATALOG_RAYS, UNKNOWN, order_counterclockwise
 
 
@@ -108,6 +112,22 @@ def box_scan_points(p):
     lo, hi = p.bounding_box()
     box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     return [pt for pt in box if p.contains(pt)]
+
+
+def chart_first_restriction(s, tau_idx, p, fan):
+    """The terms of s on the restriction of P to V(tau), in chart
+    coordinates: every term goes through the chart solve, and the ones on
+    the chart lattice through P's inequalities."""
+    restriction = restriction_polytope(p, tau_idx, fan)
+    kept = {}
+    for e, c in s.terms:
+        try:
+            y = restriction.chart.to_chart(e)
+        except ValueError:
+            continue
+        if restriction.contains(y):
+            kept[y] = c
+    return LaurentSection.from_dict(kept)
 
 
 def chart_interior_points(p):

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import chart_first_restriction
+from strategies import polytopes
 from toricfiber import data
 from toricfiber.bundles import (LaurentSection, fibred_form,
                                 fibred_homogeneous_form, homogeneous_form,
@@ -14,9 +18,10 @@ from toricfiber.bundles import (LaurentSection, fibred_form,
                                 xi_transition)
 from toricfiber.fans import Fan
 from toricfiber.intlinalg import (LatticeMap, dual_map, kernel_basis,
-                                  mat_det, section_of_surjection)
+                                  mat_det, section_of_surjection, vdot)
 from toricfiber.morphism import FanMap
-from toricfiber.polytopes import Polytope, lattice_points
+from toricfiber.polytopes import (Polytope, SubspaceChart, lattice_points,
+                                  normal_fan, restriction_polytope)
 
 
 def cp2_setup():
@@ -128,6 +133,42 @@ def test_section_restriction_computes_no_vertices(monkeypatch):
     assert all(restriction.contains(y) for y, _ in restricted.terms)
     monkeypatch.undo()
     assert restriction.polytope.vertices == expected.vertices
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes().filter(lambda p: p.is_full_dimensional), st.data())
+def test_face_first_restriction_matches_the_chart_first_loop(p, picks):
+    # generic terms, integral terms of a larger box (most outside P),
+    # half-integral terms, and per cone a term on the face's span but
+    # outside P; only the terms on the face may reach the chart solve
+    fan = normal_fan(p)
+    point = st.tuples(*[st.integers(-4, 4)] * p.ambient_rank)
+    terms = {m: f"a{m}" for m in lattice_points(p)}
+    terms.update((e, Fraction(1)) for e in picks.draw(st.lists(point, max_size=6)))
+    terms.update((tuple(Fraction(x, 2) for x in e), Fraction(2))
+                 for e in picks.draw(st.lists(point, max_size=3)))
+    to_chart = SubspaceChart.to_chart
+    assert {fan.cone(tau).dim for tau in fan.all_cone_indices} \
+        == set(range(p.ambient_rank + 1))
+    for tau in fan.all_cone_indices:
+        chart = restriction_polytope(p, tau, fan).chart
+        s = dict(terms)
+        if chart.basis:
+            far = chart.from_chart((9,) + (0,) * (len(chart.basis) - 1))
+            s[far] = Fraction(3)
+        s = LaurentSection.from_dict(s)
+        solved = []
+
+        def spy(self, e):
+            solved.append(e)
+            return to_chart(self, e)
+
+        with mock.patch.object(SubspaceChart, "to_chart", spy):
+            got, _ = restrict_section_to_orbit_closure(s, tau, p, fan)
+        assert got == chart_first_restriction(s, tau, p, fan)
+        rays = [fan.rays[i] for i in tau]
+        assert all(vdot(r, e) == vdot(r, chart.origin)
+                   for e in solved for r in rays)
 
 
 def test_pullback_identity_and_constant():

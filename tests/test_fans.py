@@ -216,6 +216,16 @@ def test_zero_fan_has_one_form():
             assert f.f_vector() == forms[0].f_vector() == (1,) + (0,) * r
 
 
+def test_zero_fans_are_isomorphic_by_the_identity():
+    for r in (0, 2):
+        assert fan_isomorphic(zero_fan(r), zero_fan(r)) \
+            == [[int(i == j) for j in range(r)] for i in range(r)]
+    line = Fan(2, [(1, 0)], [[0]])
+    assert fan_isomorphic(zero_fan(2), line) is None
+    assert fan_isomorphic(line, zero_fan(2)) is None
+    assert fan_isomorphic(zero_fan(0), zero_fan(2)) is None
+
+
 def test_locate_relint_matches_scan_of_every_cone():
     octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                            (0, 0, 1), (0, 0, -1)])

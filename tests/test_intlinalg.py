@@ -150,6 +150,19 @@ def test_lattice_maps_keep_both_ranks():
         to_point.apply((1, 2))
 
 
+def test_the_map_to_a_point_has_all_of_its_source_as_kernel():
+    to_point = LatticeMap.from_columns([()] * 5)
+    assert kernel_basis(to_point) == [tuple(int(i == j) for j in range(5))
+                                      for i in range(5)]
+    xi = section_of_surjection(to_point)
+    assert (xi.target_rank, xi.source_rank) == (5, 0)
+    assert xi.matrix == ((),) * 5
+    back = to_point.compose(xi)
+    assert (back.target_rank, back.source_rank) == (0, 0)
+    assert back == LatticeMap.identity(0)
+    assert xi.compose(to_point).matrix == ((0,) * 5,) * 5
+
+
 def test_remark_index_identity_doubling():
     # doubling Z -> Z: [N : phi(N')] = 2 = Ind(0) * [N_sigma : N_sigma cap phi(N')]
     phi = LatticeMap.from_rows([[2]])

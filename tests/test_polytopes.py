@@ -7,16 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (box_scan_points, chart_facet_interior_sum,
                      chart_interior_points, fraction_sublattice_coords)
+from strategies import polytopes
 from toricfiber import data
 from toricfiber.analysis import facet_interior_sum
-from toricfiber.intlinalg import (lin_comb, mat_vec, smith_normal_form, vadd,
-                                  vdot, vsub)
+from toricfiber.fans import Fan
+from toricfiber.intlinalg import lin_comb, vadd, vdot, vsub
 from toricfiber.polytopes import (Polytope, SubspaceChart, dual_polytope,
                                   face_polytope, facet_count,
                                   interior_lattice_points, is_reflexive,
                                   lattice_points, normal_fan,
                                   orthogonal_complement_basis,
-                                  restriction_polytope)
+                                  restriction_polytope, support_vertices)
 
 
 def test_unit_square_from_five_points():
@@ -192,31 +193,17 @@ def test_vh_consistency_big():
         assert len(saturate_columns(tight, 5)) == 5
 
 
-@st.composite
-def polytopes(draw):
-    """Hulls in Z^2..Z^4: a few points of [-2,2]^d, or of [-1,1]^k (k < d)
-    under an injective integer map plus a shift, which makes degenerate
-    polytopes whose equations have coefficients other than +-1."""
-    d = draw(st.integers(2, 4))
-    k = draw(st.integers(1, d))
-    n = min(draw(st.integers(k + 1, k + 4)), 3 ** k)
-    if k == d:
-        return Polytope(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
-                                      min_size=n, max_size=n, unique=True)))
-    unit = st.integers(-1, 1)
-    embed = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=d,
-                          max_size=d)
-                 .filter(lambda m: smith_normal_form(m).rank == k))
-    shift = draw(st.tuples(*[unit] * d))
-    pts = draw(st.lists(st.tuples(*[unit] * k), min_size=n, max_size=n,
-                        unique=True))
-    return Polytope([vadd(shift, mat_vec(embed, q)) for q in pts])
-
-
 SEGMENT = Polytope([(0, 0, 0), (2, 4, 2)])
 TRIANGLE_IN_3_SPACE = Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 # x + y = 2z: the equation's last coefficient is -2
 HALF_SLOPE_TRIANGLE = Polytope([(0, 0, 0), (4, 0, 2), (0, 4, 2)])
+# thin, skewed simplices whose bounding boxes are almost empty, so that the
+# scan drops most prefixes before the last coordinate: 5 of 10,080 and 4 of
+# 315 box points, and 3 of 784 on the plane z = x + y
+THIN_SIMPLEX = Polytope([(0, 0, 0, 0), (1, 3, 5, 7), (2, 5, 9, 13),
+                         (3, 8, 13, 19), (1, 3, 5, 8)])
+NEEDLE = Polytope([(0, 0, 0), (7, 5, 3), (8, 6, 3), (7, 6, 4)])
+SKEW_PLANE_TRIANGLE = Polytope([(0, 0, 0), (6, 5, 11), (7, 6, 13)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,6 +212,9 @@ HALF_SLOPE_TRIANGLE = Polytope([(0, 0, 0), (4, 0, 2), (0, 4, 2)])
 @example(TRIANGLE_IN_3_SPACE)
 @example(HALF_SLOPE_TRIANGLE)
 @example(Polytope([(3, 1)]))
+@example(THIN_SIMPLEX)
+@example(NEEDLE)
+@example(SKEW_PLANE_TRIANGLE)
 def test_lattice_points_match_oracles(p):
     pts = p.lattice_points()
     assert pts == box_scan_points(p)
@@ -232,10 +222,28 @@ def test_lattice_points_match_oracles(p):
     assert facet_interior_sum(p) == chart_facet_interior_sum(p)
 
 
+def test_cached_ray_minima_carry_no_refinement_verdict():
+    # the refining fan pairs the square with the rays of the wedge first,
+    # so the wedge is checked against minima kept from another fan
+    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert sorted(support_vertices(square, normal_fan(square)).values()) \
+        == sorted(square.vertices)
+    refining = Fan(2, [(1, 0), (3, 2), (0, 1), (-1, 0), (0, -1), (1, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    assert set(support_vertices(square, refining).values()) \
+        == set(square.vertices)
+    wedge = Fan(2, [(3, 2), (1, -1)], [(0, 1)])
+    with pytest.raises(ValueError, match="does not refine"):
+        support_vertices(square, wedge)
+
+
 def test_facet_interior_sum_on_named_polytopes():
     assert SEGMENT.dim == 1 and TRIANGLE_IN_3_SPACE.dim == 2
     assert [e for e, _ in HALF_SLOPE_TRIANGLE.equations] in ([(1, 1, -2)],
                                                             [(-1, -1, 2)])
+    assert THIN_SIMPLEX.is_full_dimensional and NEEDLE.is_full_dimensional
+    assert [e for e, _ in SKEW_PLANE_TRIANGLE.equations] in ([(1, 1, -1)],
+                                                            [(-1, -1, 1)])
     # each edge of the doubled square holds one interior point; the plane
     # x + y = 2z holds the points of even x + y, so the triangle's three
     # edges hold 1, 1 and 3
