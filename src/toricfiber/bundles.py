@@ -100,8 +100,19 @@ class LaurentSection:
 
     @classmethod
     def from_dict(cls, terms: dict) -> "LaurentSection":
-        return cls(tuple(sorted(((tuple(e), c) for e, c in terms.items()),
-                                key=lambda t: t[0])))
+        """The section with coefficient c at each exponent e; a character
+        has integral exponents, so any other term is a ValueError."""
+        out = []
+        for e, c in terms.items():
+            e = tuple(e)
+            try:
+                m = tuple(int(x) for x in e)
+            except (TypeError, ValueError):
+                m = None
+            if m != e:
+                raise ValueError(f"term {c} at {e}: exponents must be integers")
+            out.append((m, c))
+        return cls(tuple(sorted(out, key=lambda t: t[0])))
 
     @classmethod
     def generic(cls, p: Polytope) -> "LaurentSection":

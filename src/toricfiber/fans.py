@@ -1,8 +1,10 @@
 """Rational polyhedral cones and fans.
 
-Cones are stored by primitive generators, and every membership question
-is answered from a cone's cached facet normals.  Fans keep a ray table
-plus index tuples, with every face registered on construction.
+Cones are stored by primitive generators.  One double description per
+cone gives its facet normals and span equations, and its dimension,
+extreme rays, faces and every membership question are read off them.
+Fans keep a ray table plus index tuples, with every face registered on
+construction.
 Every fan is validated: a complete fan by a local certificate read off
 the facets of its maximal cones (`Fan._certificate_failure`), any other
 fan by intersecting each pair of maximal cones.  In a validated fan the
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .geometry import cone_halfspaces, dual_description, intersect_cones
+from .geometry import cone_halfspaces, intersect_cones
 from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
                         mat_vec, primitivize, smith_normal_form,
                         solve_unimodular, vdot)
@@ -43,7 +45,9 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        return mat_rank(self.generators)
+        """The ambient rank less the number of span equations: the
+        equations are a basis of the orthogonal complement of the span."""
+        return self.ambient_rank - len(self.halfspaces[1])
 
     @cached_property
     def is_simplicial(self) -> bool:
@@ -54,10 +58,23 @@ class Cone:
         return cone_halfspaces(list(self.generators), self.ambient_rank)
 
     def _extreme_rays(self):
-        """Extreme rays from the cached H-representation, or None when the
-        cone contains a line (the dual description then has lineality)."""
-        rays, lin = dual_description(*self.halfspaces, self.ambient_rank)
-        return None if lin else rays
+        """The generators that span extreme rays, or None when the cone
+        contains a line; read off the facets F and span equations E.
+
+        The lineality space of the cone is the kernel of F and E together,
+        so the cone is strongly convex exactly when they have rank d.  A
+        generator g of a strongly convex cone lies in the relative interior
+        of the face cut out by the normals tight at g, of dimension d less
+        the rank of those normals together with E; g spans an extreme ray
+        exactly when that rank is d - 1 (Ziegler, Lectures on Polytopes,
+        section 2)."""
+        normals, eqs = self.halfspaces
+        d = self.ambient_rank
+        if mat_rank(normals + eqs) != d:
+            return None
+        return [g for i, g in enumerate(self.generators)
+                if mat_rank([n for n, on in self.facets if i in on] + eqs)
+                == d - 1]
 
     def face(self, positions) -> "Cone":
         """The face spanned by the generators at these positions, which
@@ -121,16 +138,20 @@ class Cone:
         if self.is_simplicial:
             return [s for k in range(n + 1)
                     for s in itertools.combinations(range(n), k)]
-        found = {tuple(range(n))}
+        # generator sets as bitmasks, closed under intersection (Kaibel and
+        # Pfetsch, Comput. Geom. 23, 2002)
+        masks = [sum(1 << i for i in on) for _, on in self.facets]
+        found = {(1 << n) - 1}
         todo = list(found)
         while todo:
             face = todo.pop()
-            for _, on in self.facets:
-                sub = tuple(i for i in face if i in on)
+            for m in masks:
+                sub = face & m
                 if sub not in found:
                     found.add(sub)
                     todo.append(sub)
-        return sorted(found, key=lambda s: (len(s), s))
+        faces = [tuple(i for i in range(n) if f >> i & 1) for f in found]
+        return sorted(faces, key=lambda s: (len(s), s))
 
 
 class Fan:

@@ -22,6 +22,16 @@ def dual_description(inequalities, equations, dim: int):
 
     Returns (rays, lineality_basis) with primitive integer entries.
     Rays are minimal generators modulo the lineality space.
+
+    Constraints are added one at a time (Fukuda and Prodon, Double
+    description method revisited, 1996).  Each ray carries the bitmask of
+    the constraints tight at it, and <a, r> is taken once per ray and
+    constraint.  Two rays on opposite sides of a constraint are combined
+    when they are adjacent: no other ray is tight wherever both are.
+    Adjacent rays span a 2-face of the pointed part, of dimension
+    k = dim - len(lineality), so the constraints tight at both have rank
+    k - 2; a pair with fewer than k - 2 common tight constraints is
+    skipped before that scan.
     """
     constraints = []
     for e in equations:
@@ -33,18 +43,20 @@ def dual_description(inequalities, equations, dim: int):
     rays: list[tuple[Vec, int]] = []  # (vector, bitmask of tight constraints)
 
     for idx, a in enumerate(constraints):
+        bit = 1 << idx
         if is_zero(a):
-            rays = [(r, zs | (1 << idx)) for r, zs in rays]
+            rays = [(r, zs | bit) for r, zs in rays]
             continue
-        pivot_idx = next((i for i, l in enumerate(lineality) if vdot(a, l) != 0), None)
+        lin_vals = [vdot(a, l) for l in lineality]
+        pivot_idx = next((i for i, v in enumerate(lin_vals) if v), None)
         if pivot_idx is not None:
             pivot = lineality.pop(pivot_idx)
-            if vdot(a, pivot) < 0:
-                pivot = tuple(-x for x in pivot)
-            ap = vdot(a, pivot)
+            ap = lin_vals.pop(pivot_idx)
+            if ap < 0:
+                pivot, ap = tuple(-x for x in pivot), -ap
             new_lin = []
-            for l in lineality:
-                proj = _project_off(l, pivot, ap, vdot(a, l))
+            for l, al in zip(lineality, lin_vals):
+                proj = _project_off(l, pivot, ap, al)
                 if not is_zero(proj):
                     new_lin.append(primitivize(proj))
             lineality = new_lin
@@ -52,33 +64,42 @@ def dual_description(inequalities, equations, dim: int):
             for r, zs in rays:
                 av = vdot(a, r)
                 rr = primitivize(_project_off(r, pivot, ap, av)) if av else r
-                new_rays.append((rr, zs | (1 << idx)))
+                new_rays.append((rr, zs | bit))
             # previously processed constraints all vanish on the old lineality,
             # so the pivot satisfies them with equality
-            mask = (1 << idx) - 1
-            new_rays.append((pivot, mask))
+            new_rays.append((pivot, bit - 1))
             rays = new_rays
             continue
-        pos = [(r, zs) for r, zs in rays if vdot(a, r) > 0]
-        neg = [(r, zs) for r, zs in rays if vdot(a, r) < 0]
-        zero = [(r, zs | (1 << idx)) for r, zs in rays if vdot(a, r) == 0]
+        pos, neg, zero = [], [], []
+        for r, zs in rays:
+            av = vdot(a, r)
+            if av > 0:
+                pos.append((r, zs, av))
+            elif av < 0:
+                neg.append((r, zs, av))
+            else:
+                zero.append((r, zs | bit))
+        kept = [(r, zs) for r, zs, _ in pos] + zero
         if not neg:
-            rays = pos + zero
+            rays = kept
             continue
+        least = dim - len(lineality) - 2
         combined = []
-        for p, zp in pos:
-            for n, zn in neg:
+        for p, zp, ap in pos:
+            for n, zn, an in neg:
                 common = zp & zn
+                if common.bit_count() < least:
+                    continue
                 adjacent = not any(
                     zs & common == common
                     for r, zs in rays if r is not p and r is not n)
                 if not adjacent:
                     continue
-                w = _project_off(n, p, vdot(a, p), vdot(a, n))
+                w = _project_off(n, p, ap, an)
                 if is_zero(w):
                     continue
-                combined.append((primitivize(w), common | (1 << idx)))
-        rays = pos + zero + combined
+                combined.append((primitivize(w), common | bit))
+        rays = kept + combined
     seen = {}
     for r, zs in rays:
         seen.setdefault(r, zs)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 Vec = tuple[int, ...]
@@ -52,7 +53,9 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def vgcd(a) -> int:
@@ -91,7 +94,10 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    n = len(v)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix rows of lengths other than {n}")
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_transpose(a):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -138,15 +139,13 @@ def test_section_restriction_computes_no_vertices(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(polytopes().filter(lambda p: p.is_full_dimensional), st.data())
 def test_face_first_restriction_matches_the_chart_first_loop(p, picks):
-    # generic terms, integral terms of a larger box (most outside P),
-    # half-integral terms, and per cone a term on the face's span but
-    # outside P; only the terms on the face may reach the chart solve
+    # generic terms, integral terms of a larger box (most outside P), and
+    # per cone a term on the face's span but outside P; only the terms on
+    # the face may reach the chart solve
     fan = normal_fan(p)
     point = st.tuples(*[st.integers(-4, 4)] * p.ambient_rank)
     terms = {m: f"a{m}" for m in lattice_points(p)}
     terms.update((e, Fraction(1)) for e in picks.draw(st.lists(point, max_size=6)))
-    terms.update((tuple(Fraction(x, 2) for x in e), Fraction(2))
-                 for e in picks.draw(st.lists(point, max_size=3)))
     to_chart = SubspaceChart.to_chart
     assert {fan.cone(tau).dim for tau in fan.all_cone_indices} \
         == set(range(p.ambient_rank + 1))
@@ -169,6 +168,17 @@ def test_face_first_restriction_matches_the_chart_first_loop(p, picks):
         rays = [fan.rays[i] for i in tau]
         assert all(vdot(r, e) == vdot(r, chart.origin)
                    for e in solved for r in rays)
+
+
+def test_sections_reject_non_integral_exponents():
+    # such a term used to build, restriction dropped it without a word, and
+    # homogeneous_form on the CP^2 fan gave it Cox exponents (3/2, 1, 1/2)
+    for bad in ((Fraction(1, 2), 0), (0, 1.5), ("1", 0)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: exponents")):
+            LaurentSection.from_dict({(0, 0): Fraction(1), bad: Fraction(1)})
+    s = LaurentSection.from_dict({(Fraction(2), 0): 1, (0, -1): 2})
+    assert s.terms == (((0, -1), 2), ((2, 0), 1))
+    assert all(type(x) is int for e, _ in s.terms for x in e)
 
 
 def test_pullback_identity_and_constant():

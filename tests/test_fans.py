@@ -2,15 +2,16 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (face_table, facet_closure, quotient_star,
-                     scan_locate_relint)
+from oracles import (cone_extreme_rays, face_table, facet_closure,
+                     quotient_star, scan_locate_relint)
 from toricfiber import data
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_from_cones,
                              fan_isomorphic, singular_locus_cones,
                              star_subdivide, zero_fan)
-from toricfiber.intlinalg import is_zero, lin_comb, mat_vec, primitivize
+from toricfiber.intlinalg import (is_zero, lin_comb, mat_rank, mat_vec,
+                                  primitivize)
 from toricfiber.morphism import star
 from toricfiber.polytopes import Polytope, normal_fan
 
@@ -250,7 +251,7 @@ def test_locate_relint_matches_scan_of_every_cone():
 def assert_faces_match_closure(f):
     """is_face on every pair of cones and proper_faces on every cone agree
     with the facet closure of the maximal cones and its pairwise inclusion
-    table; a simplicial cone's faces are its facet closure."""
+    table; every cone's faces are its facet closure."""
     table = face_table(f)
     cones = f.all_cone_indices
     assert set(table) == set(cones)
@@ -259,15 +260,63 @@ def assert_faces_match_closure(f):
         for tau in cones:
             assert f.is_face(tau, sigma) == (tau in table[sigma])
         cone = f.cone(sigma)
-        if cone.is_simplicial:
-            assert cone.face_generator_sets() == facet_closure(cone)
+        assert cone.face_generator_sets() == facet_closure(cone)
 
 
 def test_face_relation_matches_facet_closure():
     octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                            (0, 0, 1), (0, 0, -1)])
-    for f in (data.total_fan(), data.base_fan(), normal_fan(octahedron)):
+    # not simple: four facets meet at the apex, whose normal cone has four
+    # rays, while the base vertices have simplicial normal cones
+    pyramid = normal_fan(Polytope([(1, 1, 0), (1, -1, 0), (-1, 1, 0),
+                                   (-1, -1, 0), (0, 0, 1)]))
+    assert sorted(len(c) for c in pyramid.maximal_cones) == [3, 3, 3, 3, 4]
+    for f in (data.total_fan(), data.base_fan(), normal_fan(octahedron),
+              pyramid):
         assert_faces_match_closure(f)
+
+
+@st.composite
+def generator_sets(draw):
+    """(rank, generators) in ranks 1 to 5: small vectors, zero and
+    non-primitive ones included, with at will a positive combination of
+    two (a redundant generator), the opposite of one (a line), and every
+    vector confined to a coordinate hyperplane (not full rank)."""
+    rank = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    gens = draw(st.lists(vec, min_size=1, max_size=rank + 3))
+    if rank > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, rank - 1))
+        gens = [g[:k] + (0,) + g[k + 1:] for g in gens]
+    if len(gens) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(gens) - 1), min_size=2,
+                             max_size=2, unique=True))
+        gens.append(tuple(a + 2 * b for a, b in zip(gens[i], gens[j])))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    return rank, draw(st.permutations(gens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_sets())
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+@example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 2)]))
+@example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, 0)]))
+@example((2, [(1, 0), (-1, 0), (0, 1)]))
+def test_extreme_rays_match_a_second_double_description(case):
+    """Cone.make reads extreme rays off one double description; the oracle
+    runs a second one on the facets and span equations."""
+    rank, gens = case
+    assert Cone(tuple(gens), rank).dim == mat_rank(gens)
+    try:
+        expected = cone_extreme_rays(gens, rank)
+    except ValueError:
+        with pytest.raises(ValueError, match="not strongly convex"):
+            Cone.make(gens, rank)
+        return
+    cone = Cone.make(gens, rank)
+    assert sorted(cone.generators) == sorted(expected)
+    assert cone.dim == mat_rank(gens)
 
 
 def test_relint_face_of_a_square_cone():

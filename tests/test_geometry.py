@@ -11,14 +11,13 @@ from toricfiber.intlinalg import primitivize, vdot
 
 def brute_force_rays(ineqs, dim):
     """Extreme rays of {Ax >= 0} for a pointed cone: candidate directions
-    from corank-1 tight subsets, filtered by feasibility and extremity."""
+    from the null spaces of dim - 1 rows, filtered by feasibility and
+    extremity.  The rows tight at an extreme ray have rank dim - 1, so
+    dim - 1 of them cut out its line."""
     rays = set()
-    for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(len(ineqs)), k)
-            for k in range(dim - 1, len(ineqs) + 1)):
-        rows = [list(ineqs[i]) for i in subset]
+    for subset in itertools.combinations(ineqs, dim - 1):
         # null space of the tight rows
-        basis = _nullspace(rows, dim)
+        basis = _nullspace([list(a) for a in subset], dim)
         if len(basis) != 1:
             continue
         for v in (basis[0], tuple(-x for x in basis[0])):
@@ -37,21 +36,46 @@ def _nullspace(rows, dim):
     return kernel_basis(LatticeMap.from_rows(rows))
 
 
+def _pad(v, spots):
+    """v with a zero inserted at each position in spots (ascending)."""
+    v = list(v)
+    for i in spots:
+        v.insert(i, 0)
+    return tuple(v)
+
+
 def test_dd_matches_brute_force():
+    # pointed cones {Ax >= 0, Ex = 0} in ranks 2 to 5, some with equations,
+    # and some padded with zero coordinates, which become lineality: the
+    # adjacency pre-check must count the pointed part's dimension only
     rng = random.Random(20240)
-    checked = 0
-    while checked < 120:
-        dim = rng.randint(2, 4)
+    checked = with_eqs = padded = 0
+    while checked < 200:
+        dim = rng.randint(2, 5)
         n = rng.randint(dim, dim + 3)
         ineqs = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
         ineqs = [a for a in ineqs if any(a)]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(dim))
+               for _ in range(rng.choice((0, 0, 1, 2)))]
         if not ineqs:
             continue
-        rays, lin = dual_description(ineqs, [], dim)
+        rays, lin = dual_description(ineqs, eqs, dim)
         if lin:
             continue  # oracle below assumes a pointed cone
-        assert set(rays) == brute_force_rays(ineqs, dim)
+        rows = ineqs + eqs + [tuple(-x for x in e) for e in eqs]
+        expected = brute_force_rays(rows, dim)
+        assert set(rays) == expected
+        wide = dim + rng.randint(0, 2)
+        spots = sorted(rng.sample(range(wide), wide - dim))
+        rays, lin = dual_description([_pad(a, spots) for a in ineqs],
+                                     [_pad(e, spots) for e in eqs], wide)
+        assert set(rays) == {_pad(r, spots) for r in expected}
+        assert sorted(lin) == sorted(
+            tuple(int(i == j) for i in range(wide)) for j in spots)
         checked += 1
+        with_eqs += bool(eqs)
+        padded += bool(spots)
+    assert with_eqs > 50 and padded > 50
 
 
 def test_hull_square_with_interior_point():

@@ -18,6 +18,7 @@ from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
                                   in_sublattice_coords,
                                   kernel_basis, lin_comb, mat_det,
                                   mat_inverse_unimodular, mat_mul, mat_rank,
+                                  mat_vec,
                                   quotient_lattice, section_of_surjection,
                                   smith_normal_form, solve_unimodular, vdot)
 from toricfiber.morphism import FanMap
@@ -344,6 +345,20 @@ def test_mat_rank_of_deficient_and_empty_matrices():
     assert mat_rank([[0, 2, 4], [0, 1, 2], [0, 3, 7]]) == 2
     assert mat_rank([[1, 2], [2, 4], [3, 6]]) == 1
     assert mat_det([[1, 2], [2, 4]]) == 0
+
+
+def test_vdot_and_mat_vec_reject_unequal_lengths():
+    assert vdot((1, -2, 3), (4, 5, 6)) == 12 and vdot((), ()) == 0
+    assert mat_vec([[1, 2, 3], [0, 1, 0]], (1, 1, 1)) == (6, 1)
+    assert mat_vec([], (1, 2)) == () and mat_vec([[], []], ()) == (0, 0)
+    for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((1,), ())):
+        with pytest.raises(ValueError):
+            vdot(a, b)
+    # a row longer than the vector used to be cut short: [[1, 2, 3]] (1, 1)
+    # gave (3,)
+    for a in ([[1, 2, 3]], [[1, 2], [1]], [[1, 2], []]):
+        with pytest.raises(ValueError):
+            mat_vec(a, (1, 1))
 
 
 @settings(max_examples=300, deadline=None)
