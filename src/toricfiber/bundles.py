@@ -192,7 +192,7 @@ def restrict_to_fiber(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     restricted, restriction = restrict_section_to_orbit_closure(
         s, tau_idx, p, m.source)
     proj, star = m.project_polytope(restriction, tau_idx, sigma_idx)
-    fiber_of = _fiber_matrix(star, restriction)
+    fiber_of = star.fiber_matrix(restriction.chart)
     groups: dict = {}
     for y, c in restricted.terms:
         f = mat_vec(fiber_of, y)
@@ -275,7 +275,8 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
             raise ValueError("xi is not a section of the quotient surjection")
     restricted, restriction = restrict_section_to_orbit_closure(
         s, tau_idx, p, m.source)
-    fiber_mat = _fiber_matrix(m.relative_star(tau_idx, sigma_idx), restriction)
+    fiber_mat = m.relative_star(tau_idx, sigma_idx).fiber_matrix(
+        restriction.chart)
     pair = tuple(tuple(vdot(q, b) for b in restriction.chart.basis)
                  for q in q_src.quotient_basis)
     # coords of a chart point in (N'/N'_tau)^* come from pairing with the
@@ -320,11 +321,6 @@ def xi_transition(xi1: LatticeMap, xi2: LatticeMap, form1: FibredForm,
             if vsub(b2, b1) != mat_vec(delta_t, coords):
                 return False
     return True
-
-
-def _fiber_matrix(star: RelativeStar, restriction: RestrictedPolytope):
-    basis = restriction.chart.basis
-    return tuple(tuple(vdot(lift, b) for b in basis) for lift in star.lifts)
 
 
 def _monomial(point, exps):

@@ -99,6 +99,17 @@ def _morphism(map_path, source_path, target_path):
     return FanMap(phi, source, target), list(snames), list(tnames)
 
 
+def _numbers(text: str, option: str, kind=int) -> list:
+    """The numbers of an option value, separated by commas or spaces; a
+    value that does not parse is a usage error naming the option."""
+    try:
+        return [kind(x) for x in text.replace(",", " ").split()]
+    except (ValueError, ZeroDivisionError):
+        what = "integers" if kind is int else "integers or fractions"
+        raise click.BadParameter(f'expected {what}, got "{text}"',
+                                 param_hint=option) from None
+
+
 def _cone_from_names(expr: str, names) -> tuple[int, ...]:
     if expr in ("0", ""):
         return ()
@@ -188,8 +199,7 @@ def fan_subdivide(input_path, rays):
     f, names = _fan_and_names(input_path)
     names = list(names)
     for expr in rays:
-        vec = tuple(int(x) for x in expr.replace(",", " ").split())
-        f = star_subdivide(f, vec)
+        f = star_subdivide(f, _numbers(expr, "--ray"))
         if len(f.rays) > len(names):
             names.append(f"s{len(names)}")
     click.echo(serialize(fan_document(f, names)), nl=False)
@@ -450,7 +460,7 @@ def bundle_fibred(input_path, tau, sigma, xi_spec, fmt):
 def bundle_homogeneous(input_path, coeffs, fmt):
     p = _polytope(input_path, paired=True)
     fan = data.total_fan()
-    a = [int(x) for x in coeffs.split(",")] if coeffs else [1] * len(fan.rays)
+    a = _numbers(coeffs, "--coeffs") if coeffs else [1] * len(fan.rays)
     s = LaurentSection.generic(p)
     table = homogeneous_form(s, p, fan, a)
     em = Emitter(fmt)
@@ -476,7 +486,7 @@ def analysis():
 @fmt_option
 def analysis_discriminant(shape, coeffs, fmt):
     sh = DISCRIMINANTS[shape]
-    values = [Fraction(x) for x in coeffs.split(",")]
+    values = _numbers(coeffs, "--coeffs", Fraction)
     em = Emitter(fmt)
     em.add("shape", shape)
     em.add("support", " ".join(f"({a},{b})" for a, b in sh.support))
@@ -507,7 +517,7 @@ def analysis_intersections(surface, fmt):
 @fmt_option
 def analysis_genus(surface, curve, fmt):
     fan = catalog_fan(surface)
-    coeffs = [int(x) for x in curve.split(",")]
+    coeffs = _numbers(curve, "--curve")
     em = Emitter(fmt)
     em.add("surface", surface)
     em.add("genus", adjunction_genus(fan, coeffs))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .geometry import cone_halfspaces, intersect_cones
+from .geometry import dual_description, intersect_cones
 from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
                         mat_vec, primitivize, smith_normal_form,
                         solve_unimodular, vdot)
@@ -39,8 +39,11 @@ class Cone:
             extreme = cone._extreme_rays()
             if extreme is None:
                 raise ValueError(f"cone {gens} is not strongly convex")
-            if set(extreme) != set(gens):
-                cone = cls(tuple(sorted(extreme)), ambient_rank)
+            if len(extreme) != len(gens):
+                # the same cone on fewer generators: its description stands
+                halfspaces = cone.halfspaces
+                cone = cls(tuple(extreme), ambient_rank)
+                cone.__dict__["halfspaces"] = halfspaces
         return cone
 
     @cached_property
@@ -55,26 +58,33 @@ class Cone:
 
     @cached_property
     def halfspaces(self):
-        return cone_halfspaces(list(self.generators), self.ambient_rank)
+        return dual_description(self.generators, [], self.ambient_rank)
 
     def _extreme_rays(self):
-        """The generators that span extreme rays, or None when the cone
-        contains a line; read off the facets F and span equations E.
+        """The generators that span extreme rays, in order, or None when
+        the cone contains a line; read off the facets F and span
+        equations E.
 
         The lineality space of the cone is the kernel of F and E together,
         so the cone is strongly convex exactly when they have rank d.  A
         generator g of a strongly convex cone lies in the relative interior
-        of the face cut out by the normals tight at g, of dimension d less
-        the rank of those normals together with E; g spans an extreme ray
-        exactly when that rank is d - 1 (Ziegler, Lectures on Polytopes,
-        section 2)."""
+        of the face G cut out by the facets tight at g, and G is spanned by
+        the generators it holds: those on every facet tight at g, the AND
+        of those facets' generator masks.  The generators are primitive and
+        distinct, so g spans an extreme ray exactly when that AND is g's
+        own bit (Ziegler, Lectures on Polytopes, section 2)."""
         normals, eqs = self.halfspaces
-        d = self.ambient_rank
-        if mat_rank(normals + eqs) != d:
+        if mat_rank(normals + eqs) != self.ambient_rank:
             return None
-        return [g for i, g in enumerate(self.generators)
-                if mat_rank([n for n, on in self.facets if i in on] + eqs)
-                == d - 1]
+        extreme = []
+        for i, g in enumerate(self.generators):
+            face = (1 << len(self.generators)) - 1
+            for m in self._facet_masks:
+                if m >> i & 1:
+                    face &= m
+            if face == 1 << i:
+                extreme.append(g)
+        return extreme
 
     def face(self, positions) -> "Cone":
         """The face spanned by the generators at these positions, which
@@ -105,6 +115,11 @@ class Cone:
         return tuple((n, tuple(i for i, g in enumerate(self.generators)
                                if vdot(n, g) == 0))
                      for n in self.halfspaces[0])
+
+    @cached_property
+    def _facet_masks(self):
+        """The generator positions on each facet, as one int bitmask."""
+        return tuple(sum(1 << i for i in on) for _, on in self.facets)
 
     def relint_face(self, v: Vec):
         """Generator positions of the face whose relative interior holds v,
@@ -140,7 +155,7 @@ class Cone:
                     for s in itertools.combinations(range(n), k)]
         # generator sets as bitmasks, closed under intersection (Kaibel and
         # Pfetsch, Comput. Geom. 23, 2002)
-        masks = [sum(1 << i for i in on) for _, on in self.facets]
+        masks = self._facet_masks
         found = {(1 << n) - 1}
         todo = list(found)
         while todo:
@@ -362,6 +377,9 @@ def zero_fan(rank: int) -> Fan:
 def star_subdivide(f: Fan, r: Vec) -> Fan:
     """Star subdivision of a simplicial fan at a primitive lattice ray."""
     r = tuple(int(x) for x in r)
+    if len(r) != f.rank:
+        raise ValueError(f"subdivision ray has {len(r)} coordinates, but "
+                         f"the fan has rank {f.rank}")
     if not is_primitive(r):
         raise ValueError("subdivision ray must be primitive")
     if f.locate_relint(r) is None:

@@ -106,19 +106,6 @@ def dual_description(inequalities, equations, dim: int):
     return list(seen.keys()), lineality
 
 
-def cone_halfspaces(generators, dim: int):
-    """H-representation of cone(generators).
-
-    Returns (facet_normals, span_equations): the cone equals
-    {x : <n,x> >= 0 for all facets, <e,x> = 0 for all equations}.
-    """
-    if not generators:
-        ident = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        return [], ident
-    normals, eqs = dual_description(generators, [], dim)
-    return normals, eqs
-
-
 def intersect_cones(halfspaces_a, halfspaces_b, dim: int):
     """Extreme rays of the intersection of two cones given as H-data."""
     na, ea = halfspaces_a
@@ -127,44 +114,6 @@ def intersect_cones(halfspaces_a, halfspaces_b, dim: int):
     if lin:
         raise ValueError("intersection of strongly convex cones has a line")
     return rays
-
-
-class HullData:
-    """Exact convex hull of lattice points via homogenization.
-
-    facets: list of (inward primitive normal n, offset c) meaning <n,x> >= -c.
-    equations: (e, c) pairs with <e,x> = -c on the affine span.
-    vertices: the extreme points, lexicographically sorted.
-    """
-
-    def __init__(self, points):
-        pts = sorted({tuple(int(x) for x in p) for p in points})
-        if not pts:
-            raise ValueError("empty point set")
-        self.ambient = len(pts[0])
-        homog = [(1,) + p for p in pts]
-        functionals, span_eqs = dual_description(homog, [], self.ambient + 1)
-        facets = []
-        for f in functionals:
-            c, n = f[0], f[1:]
-            if is_zero(n):
-                continue  # the trivial 1 >= 0 functional
-            facets.append((tuple(n), c))
-        self.facets = sorted(facets)
-        self.equations = sorted((tuple(e[1:]), e[0]) for e in span_eqs)
-        vrays, lin = dual_description(functionals, span_eqs, self.ambient + 1)
-        if lin or any(r[0] <= 0 for r in vrays):
-            raise ValueError("point set does not span a bounded polytope")
-        verts = []
-        for r in vrays:
-            if r[0] != 1:
-                raise ValueError("non-lattice vertex in hull of lattice points")
-            verts.append(tuple(r[1:]))
-        self.vertices = sorted(verts)
-
-    @property
-    def dim(self) -> int:
-        return self.ambient - len(self.equations)
 
 
 def halfspaces_to_vertices(inequalities, equations, dim: int):

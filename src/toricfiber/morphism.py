@@ -19,9 +19,9 @@ from .geometry import dual_description
 from .intlinalg import (INFINITE, InvariantError, LatticeMap,
                         QuotientLattice, SublatticeCoords, Vec,
                         cokernel_index, is_zero, kernel_basis, lin_comb,
-                        mat_rank, primitivize, quotient_lattice,
-                        saturate_columns, smith_normal_form, vdot, vsub)
-from .polytopes import (Polytope, RestrictedPolytope,
+                        mat_rank, mat_vec, primitivize, quotient_lattice,
+                        saturate_columns, smith_normal_form, vdot)
+from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
                         orthogonal_complement_basis, support_vertices)
 from .surfaces import UNKNOWN, identify_surface
 
@@ -46,7 +46,8 @@ class RelativeStar:
 
     `lifts` are ambient source-lattice representatives of the quotient
     basis; pairing lattice points of the orthogonal-complement chart
-    against them puts restriction polytopes into the same coordinates.
+    against them (`fiber_matrix`) puts restriction polytopes into the same
+    coordinates.
     """
 
     fan: Fan
@@ -58,9 +59,12 @@ class RelativeStar:
     def rank(self) -> int:
         return self.fan.rank
 
-    def dual_coords(self, m: Vec) -> Vec:
-        """Coordinates of m (in tau-perp of the dual lattice) dual to `lifts`."""
-        return tuple(vdot(b, m) for b in self.lifts)
+    def fiber_matrix(self, chart: SubspaceChart) -> tuple[Vec, ...]:
+        """The integer matrix taking chart coordinates y to the coordinates
+        dual to `lifts` of the chart vector sum(y_j basis_j): row i pairs
+        lift i with each basis vector."""
+        return tuple(tuple(vdot(lift, b) for b in chart.basis)
+                     for lift in self.lifts)
 
 
 @dataclass(frozen=True)
@@ -448,9 +452,8 @@ class FanMap:
         coordinates dual to the relative star's quotient basis.
         """
         star = self.relative_star(tau_idx, sigma_idx)
-        chart = restriction.chart
-        verts = [star.dual_coords(vsub(chart.from_chart(v), chart.origin))
-                 for v in restriction.polytope.vertices]
+        matrix = star.fiber_matrix(restriction.chart)
+        verts = [mat_vec(matrix, v) for v in restriction.polytope.vertices]
         return Polytope(verts), star
 
 

@@ -1,13 +1,17 @@
 """Integral polytopes in a dual lattice: hulls, facets, lattice points,
-polar duality, normal fans, and subspace restriction charts."""
+polar duality, normal fans, and subspace restriction charts.
+
+A polytope P is described as the cone over {1} x P: the cone's extreme
+rays are the vertices, and its facets and span equations are those of P
+(Ziegler, Lectures on Polytopes, section 1.5)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .fans import Fan, fan_from_cones
-from .geometry import HullData, halfspaces_to_vertices
+from .fans import Cone, Fan, fan_from_cones
+from .geometry import halfspaces_to_vertices
 from .intlinalg import (SublatticeCoords, Vec, kernel_basis, LatticeMap,
                         lin_comb, vadd, vdot, vsub)
 
@@ -21,11 +25,20 @@ class Polytope:
     """
 
     def __init__(self, points):
-        hull = HullData(points)
-        self.ambient_rank = hull.ambient
-        self.vertices: tuple[Vec, ...] = tuple(hull.vertices)
-        self.facets: tuple[tuple[Vec, int], ...] = tuple(hull.facets)
-        self.equations: tuple[tuple[Vec, int], ...] = tuple(hull.equations)
+        pts = {tuple(int(x) for x in p) for p in points}
+        if not pts:
+            raise ValueError("empty point set")
+        self.ambient_rank = len(next(iter(pts)))
+        # a functional n of the cone reads <n[1:], x> >= -n[0] on P; the
+        # one with n[1:] zero is 1 >= 0, not a facet of P
+        cone = Cone.make([(1,) + p for p in pts], self.ambient_rank + 1)
+        normals, eqs = cone.halfspaces
+        self.vertices: tuple[Vec, ...] = tuple(
+            sorted(g[1:] for g in cone.generators))
+        self.facets: tuple[tuple[Vec, int], ...] = tuple(
+            sorted((n[1:], n[0]) for n in normals if any(n[1:])))
+        self.equations: tuple[tuple[Vec, int], ...] = tuple(
+            sorted((e[1:], e[0]) for e in eqs))
         self._lattice_points = None
         self._ray_minima: dict = {}
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import cache, cmp_to_key
 
 from .fans import Fan, fan_from_cones
-from .geometry import HullData
 from .intlinalg import primitivize, vdot, vsub
+from .polytopes import Polytope
 
 UNKNOWN = "UNKNOWN"
 
@@ -108,7 +108,7 @@ def planar_normal_form(points) -> tuple:
         raise ValueError("planar point sets must lie in Z^2")
     if len(pts) <= 1:
         return tuple((0, 0) for _ in pts)
-    hull = HullData(pts)
+    hull = Polytope(pts)
     frames = []
     if hull.dim == 1:
         for v, w in (hull.vertices, hull.vertices[::-1]):

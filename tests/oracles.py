@@ -12,7 +12,9 @@ lattice layer became integer-only.  The face relation of a fan is closed
 through facets and tested pairwise, and the index of a stratum is taken
 member by member, the way the library did before it read both off the
 fan and the stratum.  Surfaces and planar point sets are matched by the
-searches over unimodular solves that the GL(2,Z) normal forms replaced.
+searches over unimodular solves that the GL(2,Z) normal forms replaced,
+and hulls by the two double descriptions (V to H, then H back to V) that
+the library ran before it read a polytope off one cone over its points.
 The star of a simplicial cone is taken in the quotient by its own rays,
 the way the library did before a star became a relative star.  A section
 is restricted to an orbit closure by putting every term through the chart
@@ -26,7 +28,7 @@ from math import lcm
 
 from toricfiber.bundles import LaurentSection
 from toricfiber.fans import fan_from_cones, zero_fan
-from toricfiber.geometry import HullData, cone_halfspaces, dual_description
+from toricfiber.geometry import dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   is_zero, kernel_basis, lin_comb, mat_mul,
                                   mat_transpose, mat_vec, primitivize,
@@ -380,7 +382,7 @@ def cone_extreme_rays(generators, dim):
     gens = [primitivize(g) for g in generators if any(g)]
     if not gens:
         return []
-    rays, lin = dual_description(*cone_halfspaces(gens, dim), dim)
+    rays, lin = dual_description(*dual_description(gens, [], dim), dim)
     if lin:
         raise ValueError("cone is not strongly convex")
     return rays
@@ -475,6 +477,36 @@ def search_surface_label(rays):
                  if len(cat) == len(ccw) and _rays_match(ccw, cat)), UNKNOWN)
 
 
+class ReferenceHull:
+    """Exact convex hull of lattice points by two double descriptions: the
+    facets and equations of the cone over the homogenised points, then
+    the vertices from those.
+
+    facets: list of (inward primitive normal n, offset c) meaning <n,x> >= -c.
+    equations: (e, c) pairs with <e,x> = -c on the affine span.
+    vertices: the extreme points, lexicographically sorted.
+    """
+
+    def __init__(self, points):
+        pts = sorted({tuple(int(x) for x in p) for p in points})
+        if not pts:
+            raise ValueError("empty point set")
+        self.ambient = len(pts[0])
+        homog = [(1,) + p for p in pts]
+        functionals, span_eqs = dual_description(homog, [], self.ambient + 1)
+        self.facets = sorted((tuple(f[1:]), f[0]) for f in functionals
+                             if not is_zero(f[1:]))
+        self.equations = sorted((tuple(e[1:]), e[0]) for e in span_eqs)
+        vrays, lin = dual_description(functionals, span_eqs, self.ambient + 1)
+        if lin or any(r[0] != 1 for r in vrays):
+            raise ValueError("hull of lattice points with a bad vertex ray")
+        self.vertices = sorted(tuple(r[1:]) for r in vrays)
+
+    @property
+    def dim(self) -> int:
+        return self.ambient - len(self.equations)
+
+
 def _line_coords(points, origin, direction):
     i = 0 if direction[0] else 1
     return [(p[i] - origin[i]) // direction[i] for p in points]
@@ -500,7 +532,7 @@ def search_planar_equivalent(points_a, points_b) -> bool:
         return False
     if len(pa) <= 1:
         return True
-    ha, hb = HullData(pa), HullData(pb)
+    ha, hb = ReferenceHull(pa), ReferenceHull(pb)
     if len(ha.vertices) != len(hb.vertices) or ha.dim != hb.dim:
         return False
     if ha.dim == 1:

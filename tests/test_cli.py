@@ -189,6 +189,26 @@ def test_input_rank_must_match_bundled_fan(command, tmp_path, monkeypatch, capsy
     assert "has rank 2" in err and "has rank 5" in err
 
 
+@pytest.mark.parametrize("command, named", [
+    (["fan", "subdivide", "--ray", "0 0 0 1 x"], ["--ray"]),
+    (["fan", "subdivide", "--ray", "0 0 0 1"], ["4 coordinates", "rank 5"]),
+    (["bundle", "homogeneous", "--coeffs", "1,x"], ["--coeffs"]),
+    (["analysis", "genus", "--surface", "CP2", "--curve", "1,y"], ["--curve"]),
+    (["analysis", "discriminant", "--shape", "F2", "--coeffs", "0,-1,0,1/0"],
+     ["--coeffs"]),
+])
+def test_numeric_options_fail_naming_the_option(command, named, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(sys, "argv", ["toricfiber", *command])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert all(n in err for n in named)
+    assert "invalid literal" not in err and "Fraction" not in err
+    assert "lengths" not in err and "Traceback" not in err
+
+
 def test_pipeline_report_deterministic():
     first = pipeline_report_lines()
     second = pipeline_report_lines()

@@ -1,12 +1,15 @@
-"""The double-description engine against a brute-force ray oracle."""
+"""The double-description engine against a brute-force ray oracle, and
+the hulls and cones described by it."""
 
 import itertools
 import random
 
 from oracles import cone_extreme_rays
-from toricfiber.geometry import (HullData, dual_description,
-                                 halfspaces_to_vertices)
+from toricfiber import fans
+from toricfiber.fans import Cone
+from toricfiber.geometry import dual_description, halfspaces_to_vertices
 from toricfiber.intlinalg import primitivize, vdot
+from toricfiber.polytopes import Polytope
 
 
 def brute_force_rays(ineqs, dim):
@@ -79,15 +82,35 @@ def test_dd_matches_brute_force():
 
 
 def test_hull_square_with_interior_point():
-    h = HullData([(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
-    assert h.vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    h = Polytope([(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
+    assert h.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert len(h.facets) == 4 and not h.equations
 
 
 def test_hull_degenerate_segment():
-    h = HullData([(0, 0), (2, 0), (1, 0)])
-    assert h.vertices == [(0, 0), (2, 0)]
+    h = Polytope([(0, 0), (2, 0), (1, 0)])
+    assert h.vertices == ((0, 0), (2, 0))
     assert h.dim == 1 and len(h.equations) == 1
+
+
+def test_one_double_description_per_hull_and_cone(monkeypatch):
+    # a hull with a point to drop, and a cone with a redundant generator,
+    # keep the description taken before dropping it
+    calls = []
+
+    def counted(inequalities, equations, dim):
+        calls.append(dim)
+        return dual_description(inequalities, equations, dim)
+
+    monkeypatch.setattr(fans, "dual_description", counted)
+    square = Polytope([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+    assert len(square.vertices) == 4 and len(square.facets) == 4
+    assert calls == [3]
+    calls.clear()
+    cone = Cone.make([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3)
+    assert cone.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert len(cone.facets) == 3
+    assert calls == [3]
 
 
 def test_extreme_rays_drop_redundant():
@@ -107,7 +130,7 @@ def test_hull_vertices_satisfy_facets():
         dim = rng.randint(2, 4)
         pts = [tuple(rng.randint(-4, 4) for _ in range(dim))
                for _ in range(rng.randint(dim + 1, dim + 5))]
-        h = HullData(pts)
+        h = Polytope(pts)
         for v in h.vertices:
             assert all(vdot(n, v) >= -c for n, c in h.facets)
             assert all(vdot(e, v) == -c for e, c in h.equations)

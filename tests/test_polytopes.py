@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (box_scan_points, chart_facet_interior_sum,
-                     chart_interior_points, fraction_sublattice_coords)
+from oracles import (ReferenceHull, box_scan_points, chart_facet_interior_sum,
+                     chart_interior_points, fraction_sublattice_coords,
+                     hull_membership_oracle)
 from strategies import polytopes
 from toricfiber import data
 from toricfiber.analysis import facet_interior_sum
@@ -29,6 +30,43 @@ def test_unit_square_from_five_points():
 def test_simplex_facets():
     p = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert facet_count(p) == 4
+
+
+@st.composite
+def point_lists(draw):
+    """Point lists in Z^1 to Z^5 with a repeated point at will, a single
+    point among them, and at will every point moved onto the hyperplane
+    x_k = c + <a, x> (a over the other coordinates)."""
+    d = draw(st.integers(1, 5))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
+                        max_size=d + 4))
+    if d > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, d - 1))
+        c = draw(st.integers(-1, 1))
+        a = draw(st.tuples(*[st.integers(-1, 1)] * d))
+        pts = [p[:k] + (c + sum(a[j] * p[j] for j in range(d) if j != k),)
+               + p[k + 1:] for p in pts]
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_lists())
+@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 1)])
+@example([(1, -1, 2)])
+@example([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+@example([(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 2, 0), (0, 0, 0, 0)])
+def test_hull_of_one_cone_matches_two_double_descriptions(pts):
+    """Polytope reads its hull off the cone over its points; the oracle
+    runs a second double description from the facets back to vertices."""
+    p, ref = Polytope(pts), ReferenceHull(pts)
+    assert list(p.vertices) == ref.vertices
+    assert list(p.facets) == ref.facets
+    assert list(p.equations) == ref.equations
+    for v in p.vertices:
+        others = [q for q in pts if tuple(q) != v]
+        assert not others or not hull_membership_oracle(others)(v)
 
 
 def test_big_polytope_data():
