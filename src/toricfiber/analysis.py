@@ -1,11 +1,13 @@
-"""Numeric analysis on fiber data: fixed discriminants of the six fiber
-section families, toric surface intersection tables, adjunction genus,
-polynomial moduli count, and the scripted desingularization pipeline.
+"""Numeric analysis on fiber data: discriminants of the six fiber section
+families, computed from their classical formulas, toric surface
+intersection tables, adjunction genus, polynomial moduli count, and the
+scripted desingularization pipeline.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -19,77 +21,67 @@ from .surfaces import order_counterclockwise
 
 @dataclass(frozen=True)
 class DiscriminantShape:
-    """Fixed discriminant of one family of fiber sections.
+    """Discriminant of one family of fiber sections.
 
-    `support` lists the monomial exponents of the family; `polynomial`
-    is a tuple of (integer coefficient, exponent-per-support) terms in
-    the named coefficients.
+    `support` lists the monomial exponents of the family; `formula` maps
+    the coefficients, keyed by exponent, to the discriminant, which is
+    homogeneous of degree `homogeneity` in them.
     """
 
     label: str
     support: tuple[tuple[int, int], ...]
-    polynomial: tuple[tuple[int, dict], ...]
+    homogeneity: int
+    formula: Callable[[dict], Fraction]
 
     def degree(self) -> int:
-        return max((sum(e.values()) for _, e in self.polynomial), default=0)
+        return self.homogeneity
 
 
-def _shape(label, support, terms):
-    return DiscriminantShape(label, tuple(support),
-                             tuple((c, dict(e)) for c, e in terms))
+def _tate(c) -> Fraction:
+    """Tate's discriminant of the section sum c_ij x^i y^j over the WCP2(1,2,3)
+    support, homogeneous of degree 7 in the coefficients.  On c02 = 1,
+    c30 = -1 it is Delta of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
+    with a1 = c11, a3 = c01, a2 = -c20, a4 = -c10, a6 = -c00 (Silverman,
+    The Arithmetic of Elliptic Curves, III.1)."""
+    c00, c10, c20, c30 = c[0, 0], c[1, 0], c[2, 0], c[3, 0]
+    c01, c11, c02 = c[0, 1], c[1, 1], c[0, 2]
+    b2 = c11 ** 2 - 4 * c02 * c20
+    b4 = c11 * c01 - 2 * c02 * c10
+    b6 = c01 ** 2 - 4 * c02 * c00
+    b8 = (4 * c02 * c00 * c20 - c02 * c10 ** 2 + c10 * c11 * c01
+          - c00 * c11 ** 2 - c20 * c01 ** 2)
+    return (-b2 ** 2 * b8 + 8 * c30 * b4 ** 3 - 27 * c02 * c30 ** 2 * b6 ** 2
+            - 9 * c30 * b2 * b4 * b6)
 
 
-# sections of the generic-fiber family: a cubic-in-x, quadratic-in-y mix
-_WCP123_TERMS = [
-    (-432, {(0, 0): 2, (0, 2): 3, (3, 0): 2}),
-    (-64, {(0, 0): 1, (2, 0): 3, (0, 2): 3}),
-    (-64, {(1, 0): 3, (0, 2): 3, (3, 0): 1}),
-    (-27, {(0, 1): 4, (0, 2): 1, (3, 0): 2}),
-    (1, {(0, 0): 1, (1, 1): 6}),
-    (16, {(1, 0): 2, (2, 0): 2, (0, 2): 3}),
-    (16, {(0, 1): 2, (2, 0): 3, (0, 2): 2}),
-    (1, {(0, 2): 1, (1, 0): 2, (1, 1): 4}),
-    (-1, {(0, 1): 1, (1, 0): 1, (1, 1): 5}),
-    (1, {(0, 1): 2, (1, 1): 4, (2, 0): 1}),
-    (-1, {(0, 1): 3, (1, 1): 3, (3, 0): 1}),
-    (288, {(0, 0): 1, (0, 2): 3, (1, 0): 1, (2, 0): 1, (3, 0): 1}),
-    (48, {(0, 0): 1, (0, 2): 2, (1, 1): 2, (2, 0): 2}),
-    (216, {(0, 0): 1, (0, 1): 2, (0, 2): 2, (3, 0): 2}),
-    (-72, {(0, 1): 2, (0, 2): 2, (1, 0): 1, (2, 0): 1, (3, 0): 1}),
-    (-72, {(0, 0): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2, (3, 0): 1}),
-    (-16, {(0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 1, (2, 0): 2}),
-    (-8, {(0, 2): 2, (1, 0): 2, (1, 1): 2, (2, 0): 1}),
-    (96, {(0, 1): 1, (0, 2): 2, (1, 0): 2, (1, 1): 1, (3, 0): 1}),
-    (-144, {(0, 0): 1, (0, 1): 1, (0, 2): 2, (1, 1): 1, (2, 0): 1, (3, 0): 1}),
-    (-12, {(0, 0): 1, (0, 2): 1, (1, 1): 4, (2, 0): 1}),
-    # the cubed a_{11} power is forced by degree-7 homogeneity
-    (8, {(0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 3, (2, 0): 1}),
-    (-8, {(0, 1): 2, (0, 2): 1, (1, 1): 2, (2, 0): 2}),
-    (-30, {(0, 1): 2, (0, 2): 1, (1, 0): 1, (1, 1): 2, (3, 0): 1}),
-    (36, {(0, 1): 3, (0, 2): 1, (1, 1): 1, (2, 0): 1, (3, 0): 1}),
-    (36, {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 3, (3, 0): 1}),
-]
+def _cubic(c) -> Fraction:
+    """Minus the discriminant of the cubic c00 + c10 x + c20 x^2 + c30 x^3."""
+    a0, a1, a2, a3 = c[0, 0], c[1, 0], c[2, 0], c[3, 0]
+    return -(18 * a0 * a1 * a2 * a3 - 4 * a2 ** 3 * a0 + a1 ** 2 * a2 ** 2
+             - 4 * a3 * a1 ** 3 - 27 * a0 ** 2 * a3 ** 2)
 
-DISCRIMINANTS = {
-    "WCP2(1,2,3)": _shape(
+
+def _conic(c) -> Fraction:
+    """-1/2 det [[2c20, c11, c10], [c11, 2c02, c01], [c10, c01, 2c00]]."""
+    a, b, d = 2 * c[2, 0], c[1, 1], c[1, 0]
+    e, f, g = 2 * c[0, 2], c[0, 1], 2 * c[0, 0]
+    return -(a * (e * g - f * f) - b * (b * g - f * d)
+             + d * (b * f - e * d)) / 2
+
+
+DISCRIMINANTS = {s.label: s for s in (
+    DiscriminantShape(
         "WCP2(1,2,3)",
-        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)],
-        _WCP123_TERMS),
-    "X(4)": _shape("X(4)", [(0, 0), (1, 0), (2, 0), (0, 1)], [(1, {})]),
-    "CP2": _shape(
-        "CP2", [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)],
-        [(1, {(2, 0): 1, (0, 1): 2}), (1, {(1, 0): 2, (0, 2): 1}),
-         (1, {(1, 1): 2, (0, 0): 1}), (-1, {(1, 1): 1, (1, 0): 1, (0, 1): 1}),
-         (-4, {(2, 0): 1, (0, 2): 1, (0, 0): 1})]),
-    "X(5)": _shape("X(5)", [(0, 0), (1, 0)], [(1, {(1, 0): 1})]),
-    "WCP2(1,1,3)": _shape(
-        "WCP2(1,1,3)", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)], [(1, {})]),
-    "F2": _shape(
-        "F2", [(0, 0), (1, 0), (2, 0), (3, 0)],
-        [(27, {(0, 0): 2, (3, 0): 2}), (4, {(0, 0): 1, (2, 0): 3}),
-         (4, {(1, 0): 3, (3, 0): 1}), (-1, {(1, 0): 2, (2, 0): 2}),
-         (-18, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1})]),
-}
+        ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)), 7, _tate),
+    DiscriminantShape("X(4)", ((0, 0), (1, 0), (2, 0), (0, 1)), 0,
+                      lambda c: 1),
+    DiscriminantShape(
+        "CP2", ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)), 3, _conic),
+    DiscriminantShape("X(5)", ((0, 0), (1, 0)), 1, lambda c: c[1, 0]),
+    DiscriminantShape("WCP2(1,1,3)", ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1)),
+                      0, lambda c: 1),
+    DiscriminantShape("F2", ((0, 0), (1, 0), (2, 0), (3, 0)), 4, _cubic),
+)}
 
 
 def discriminant_eval(shape: DiscriminantShape, coefficients) -> Fraction:
@@ -106,13 +98,8 @@ def discriminant_eval(shape: DiscriminantShape, coefficients) -> Fraction:
         coefficients = dict(zip(shape.support, seq))
     if set(coefficients) != set(shape.support):
         raise ValueError(f"coefficient keys do not match the {shape.label} support")
-    total = Fraction(0)
-    for c, exps in shape.polynomial:
-        term = Fraction(c)
-        for key, e in exps.items():
-            term *= Fraction(coefficients[key]) ** e
-        total += term
-    return total
+    return Fraction(shape.formula(
+        {key: Fraction(v) for key, v in coefficients.items()}))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fans import Fan
-from .intlinalg import (InvariantError, LatticeMap, Vec, cokernel_index,
-                        dual_map, is_zero, mat_mul, mat_transpose, mat_vec,
-                        quotient_lattice, saturate_columns,
-                        section_of_surjection, vdot, vsub)
+from .intlinalg import (InvariantError, LatticeMap, Vec, dual_map, is_zero,
+                        mat_mul, mat_transpose, mat_vec, quotient_lattice,
+                        saturate_columns, section_of_surjection, vdot, vsub)
 from .morphism import FanMap, RelativeStar
 from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
                         restriction_polytope, support_vertices)
@@ -253,6 +252,20 @@ def quotient_surjection(m: FanMap, tau_idx, sigma_idx):
     return LatticeMap.from_columns(cols), q_src, q_dst
 
 
+def _section(f: LatticeMap, xi: LatticeMap | None, name: str) -> LatticeMap:
+    """xi, once f after xi is checked to be the identity (which makes f
+    onto), or the canonical section of f when xi is None."""
+    if xi is None:
+        return section_of_surjection(f)
+    if (xi.source_rank, xi.target_rank) != (f.target_rank, f.source_rank):
+        raise ValueError(
+            f"xi maps Z^{xi.source_rank} to Z^{xi.target_rank}, but a section "
+            f"of {name} maps Z^{f.target_rank} to Z^{f.source_rank}")
+    if f.compose(xi).matrix != LatticeMap.identity(f.target_rank).matrix:
+        raise ValueError(f"xi is not a section of {name}")
+    return xi
+
+
 def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
                 p: Polytope, xi: LatticeMap | None = None) -> FibredForm:
     """Regroup a section by fiber exponent with base Laurent coefficients.
@@ -265,14 +278,7 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     tau_idx = tuple(sorted(tau_idx))
     sigma_idx = tuple(sorted(sigma_idx))
     phi_bar, q_src, q_dst = quotient_surjection(m, tau_idx, sigma_idx)
-    if xi is None:
-        xi = section_of_surjection(phi_bar)
-    else:
-        if cokernel_index(phi_bar) != 1:
-            raise ValueError("quotient map is not surjective; no section exists")
-        comp = phi_bar.compose(xi)
-        if comp.matrix != LatticeMap.identity(phi_bar.target_rank).matrix:
-            raise ValueError("xi is not a section of the quotient surjection")
+    xi = _section(phi_bar, xi, "the quotient surjection")
     restricted, restriction = restrict_section_to_orbit_closure(
         s, tau_idx, p, m.source)
     fiber_mat = m.relative_star(tau_idx, sigma_idx).fiber_matrix(
@@ -372,17 +378,12 @@ def fibred_homogeneous_form(s: LaurentSection, p: Polytope, m: FanMap,
                             ) -> FibredHomogeneousForm:
     """Homogeneous form grouped by the exponents over kernel rays, with
     the xi-induced three-factor split of the coefficient monomials."""
+    xi = _section(m.phi, xi, "phi")
     full = homogeneous_form(s, p, m.source, divisor_coeffs)
     fiber_rays = tuple(i for i, r in enumerate(m.source.rays)
                        if is_zero(m.phi.apply(r)))
     base_rays = tuple(i for i in range(len(m.source.rays))
                       if i not in fiber_rays)
-    if xi is None:
-        xi = section_of_surjection(m.phi)
-    else:
-        comp = m.phi.compose(xi)
-        if comp.matrix != LatticeMap.identity(m.phi.target_rank).matrix:
-            raise ValueError("xi is not a section of phi")
     xi_dual = dual_map(xi)
     groups: dict = {}
     xi_factors = []

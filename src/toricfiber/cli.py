@@ -119,7 +119,7 @@ def _cone_from_names(expr: str, names) -> tuple[int, ...]:
         if p not in names:
             raise click.UsageError(f"unknown ray name {p!r}")
         idx.append(names.index(p))
-    return tuple(sorted(idx))
+    return tuple(sorted(set(idx)))
 
 
 map_options = [

@@ -19,7 +19,9 @@ The star of a simplicial cone is taken in the quotient by its own rays,
 the way the library did before a star became a relative star.  A section
 is restricted to an orbit closure by putting every term through the chart
 solve, the way the library did before it kept only the terms that pair
-with the cone like the chart origin.
+with the cone like the chart origin.  The discriminants of the fiber
+section families are the term table that the library evaluated before it
+computed them from their classical formulas.
 """
 
 import itertools
@@ -554,3 +556,62 @@ def search_planar_equivalent(points_a, points_b) -> bool:
                                       for p in pa} == set_b:
                     return True
     return False
+
+
+# The discriminants as the library tabulated them before it computed them
+# from classical formulas: integer coefficient and exponent per support
+# monomial for each term, with the 26 WCP2(1,2,3) terms hand-entered.
+_WCP123_TERMS = [
+    (-432, {(0, 0): 2, (0, 2): 3, (3, 0): 2}),
+    (-64, {(0, 0): 1, (2, 0): 3, (0, 2): 3}),
+    (-64, {(1, 0): 3, (0, 2): 3, (3, 0): 1}),
+    (-27, {(0, 1): 4, (0, 2): 1, (3, 0): 2}),
+    (1, {(0, 0): 1, (1, 1): 6}),
+    (16, {(1, 0): 2, (2, 0): 2, (0, 2): 3}),
+    (16, {(0, 1): 2, (2, 0): 3, (0, 2): 2}),
+    (1, {(0, 2): 1, (1, 0): 2, (1, 1): 4}),
+    (-1, {(0, 1): 1, (1, 0): 1, (1, 1): 5}),
+    (1, {(0, 1): 2, (1, 1): 4, (2, 0): 1}),
+    (-1, {(0, 1): 3, (1, 1): 3, (3, 0): 1}),
+    (288, {(0, 0): 1, (0, 2): 3, (1, 0): 1, (2, 0): 1, (3, 0): 1}),
+    (48, {(0, 0): 1, (0, 2): 2, (1, 1): 2, (2, 0): 2}),
+    (216, {(0, 0): 1, (0, 1): 2, (0, 2): 2, (3, 0): 2}),
+    (-72, {(0, 1): 2, (0, 2): 2, (1, 0): 1, (2, 0): 1, (3, 0): 1}),
+    (-72, {(0, 0): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2, (3, 0): 1}),
+    (-16, {(0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 1, (2, 0): 2}),
+    (-8, {(0, 2): 2, (1, 0): 2, (1, 1): 2, (2, 0): 1}),
+    (96, {(0, 1): 1, (0, 2): 2, (1, 0): 2, (1, 1): 1, (3, 0): 1}),
+    (-144, {(0, 0): 1, (0, 1): 1, (0, 2): 2, (1, 1): 1, (2, 0): 1, (3, 0): 1}),
+    (-12, {(0, 0): 1, (0, 2): 1, (1, 1): 4, (2, 0): 1}),
+    (8, {(0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 3, (2, 0): 1}),
+    (-8, {(0, 1): 2, (0, 2): 1, (1, 1): 2, (2, 0): 2}),
+    (-30, {(0, 1): 2, (0, 2): 1, (1, 0): 1, (1, 1): 2, (3, 0): 1}),
+    (36, {(0, 1): 3, (0, 2): 1, (1, 1): 1, (2, 0): 1, (3, 0): 1}),
+    (36, {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 1): 3, (3, 0): 1}),
+]
+
+DISCRIMINANT_TERMS = {
+    "WCP2(1,2,3)": _WCP123_TERMS,
+    "X(4)": [(1, {})],
+    "CP2": [(1, {(2, 0): 1, (0, 1): 2}), (1, {(1, 0): 2, (0, 2): 1}),
+            (1, {(1, 1): 2, (0, 0): 1}),
+            (-1, {(1, 1): 1, (1, 0): 1, (0, 1): 1}),
+            (-4, {(2, 0): 1, (0, 2): 1, (0, 0): 1})],
+    "X(5)": [(1, {(1, 0): 1})],
+    "WCP2(1,1,3)": [(1, {})],
+    "F2": [(27, {(0, 0): 2, (3, 0): 2}), (4, {(0, 0): 1, (2, 0): 3}),
+           (4, {(1, 0): 3, (3, 0): 1}), (-1, {(1, 0): 2, (2, 0): 2}),
+           (-18, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1})],
+}
+
+
+def tabulated_discriminant(label, coefficients):
+    """The term table of `label` evaluated on coefficients keyed by support
+    exponent: exactly, on Fractions, or symbolically, on sympy symbols."""
+    total = 0
+    for c, exps in DISCRIMINANT_TERMS[label]:
+        term = c
+        for key, e in exps.items():
+            term *= coefficients[key] ** e
+        total += term
+    return total

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from oracles import tabulated_discriminant
 from toricfiber import data
 from toricfiber.analysis import (DISCRIMINANTS, adjunction_genus,
                                  discriminant_eval, facet_interior_sum,
@@ -55,8 +58,7 @@ def test_discriminant_wcp123_vanishing_oracle():
     # the big discriminant must vanish whenever the section family has a
     # singular member; cuspidal normal form a00 = x^3 - y^2 type checks
     shape = DISCRIMINANTS["WCP2(1,2,3)"]
-    # f = (y - x)^2 - 2x(y - x) ... simpler: f = (a + bx + cy)^2 family is
-    # too degenerate; use f = y^2 - x^3: singular at the origin
+    # f = y^2 - x^3: singular at the origin
     val = discriminant_eval(shape, {(0, 0): 0, (1, 0): 0, (2, 0): 0,
                                     (3, 0): -1, (0, 1): 0, (1, 1): 0,
                                     (0, 2): 1})
@@ -98,6 +100,34 @@ def test_discriminant_homogeneous_scaling():
 def test_discriminant_wrong_arity():
     with pytest.raises(ValueError):
         discriminant_eval(DISCRIMINANTS["F2"], [1, 2, 3])
+
+
+def test_discriminant_wrong_keys():
+    shape = DISCRIMINANTS["X(5)"]
+    with pytest.raises(ValueError, match="coefficient keys do not match"):
+        discriminant_eval(shape, {(0, 0): 1, (0, 1): 2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DISCRIMINANTS)), st.data())
+def test_discriminant_equals_term_table(label, draws):
+    shape = DISCRIMINANTS[label]
+    coeffs = draws.draw(st.lists(
+        st.fractions(-20, 20, max_denominator=12),
+        min_size=len(shape.support), max_size=len(shape.support)))
+    keyed = dict(zip(shape.support, coeffs))
+    assert discriminant_eval(shape, coeffs) == tabulated_discriminant(label,
+                                                                      keyed)
+    assert discriminant_eval(shape, keyed) == discriminant_eval(shape, coeffs)
+
+
+def test_discriminant_formulas_are_the_term_table_as_polynomials():
+    for label, shape in DISCRIMINANTS.items():
+        c = {key: sympy.Symbol(f"c{key[0]}{key[1]}") for key in shape.support}
+        formula = sympy.expand(shape.formula(c))
+        assert formula == sympy.expand(tabulated_discriminant(label, c))
+        poly = sympy.Poly(formula, *c.values())
+        assert {sum(m) for m in poly.monoms()} == {shape.degree()}
 
 
 def test_intersection_table_cp2():

@@ -321,6 +321,31 @@ def test_fibred_form_rejects_bad_xi():
     s = LaurentSection.generic(p)
     with pytest.raises(ValueError):
         fibred_form(s, tau, sigma, m, p, xi=bad)
+    _xi_errors(lambda xi: fibred_form(s, tau, sigma, m, p, xi=xi), phi_bar,
+               "the quotient surjection")
+
+
+def _xi_errors(build, f: LatticeMap, name: str):
+    """build(xi) rejects an xi of the wrong shape, naming both shapes, and
+    one of the right shape that is not a section of f."""
+    square = LatticeMap.identity(2)
+    with pytest.raises(ValueError) as err:
+        build(square)
+    assert str(err.value) == (
+        f"xi maps Z^2 to Z^2, but a section of {name} maps "
+        f"Z^{f.target_rank} to Z^{f.source_rank}")
+    doubled = LatticeMap.from_rows(
+        [[2 * x for x in row] for row in section_of_surjection(f).matrix])
+    with pytest.raises(ValueError, match=f"xi is not a section of {name}$"):
+        build(doubled)
+
+
+def test_fibred_homogeneous_form_xi_errors():
+    m = data.fibration_map()
+    p = data.section_polytope()
+    s = LaurentSection.generic(p)
+    _xi_errors(lambda xi: fibred_homogeneous_form(s, p, m, [1] * 13, xi=xi),
+               m.phi, "phi")
 
 
 def test_homogeneous_cp2_anticanonical():

@@ -209,6 +209,34 @@ def test_numeric_options_fail_naming_the_option(command, named, monkeypatch,
     assert "lengths" not in err and "Traceback" not in err
 
 
+def test_fibred_xi_of_the_wrong_shape_names_both_shapes(tmp_path,
+                                                         monkeypatch, capsys):
+    path = tmp_path / "xi.txt"
+    path.write_text("toricfiber lattice_map v1\nrows 2\ncols 2\n"
+                    "row 1 0\nrow 0 1\n")
+    monkeypatch.setattr(sys, "argv", [
+        "toricfiber", "bundle", "fibred", "--tau", "v1',e2'",
+        "--sigma", "d4,r1", "--xi", str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: xi maps Z^2 to Z^2, but a section of the quotient "
+                   "surjection maps Z^1 to Z^3\n")
+
+
+@pytest.mark.parametrize("repeated, once", [
+    (["morphism", "fibers", "--sigma", "r1,r1"],
+     ["morphism", "fibers", "--sigma", "r1"]),
+    (["polytope", "restrict", "--tau", "v1',v1'"],
+     ["polytope", "restrict", "--tau", "v1'"]),
+])
+def test_repeated_ray_names_name_one_ray(repeated, once):
+    res = run(*repeated)
+    assert res.exit_code == 0
+    assert res.output == run(*once).output
+
+
 def test_pipeline_report_deterministic():
     first = pipeline_report_lines()
     second = pipeline_report_lines()
