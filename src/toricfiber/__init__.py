@@ -22,9 +22,9 @@ from .morphism import (EMPTY, FanMap, FiberComponent, FiberReport,
                        FibrationCertificate, LightedPart, RelativeStar,
                        is_map_of_fans, star)
 from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
-                        dual_polytope, face_polytope, facet_count,
-                        interior_lattice_points, is_reflexive, lattice_points,
-                        normal_fan, restriction_polytope)
+                        dual_polytope, face_polytope, interior_lattice_points,
+                        is_reflexive, lattice_points, normal_fan,
+                        restriction_polytope)
 from .surfaces import (CATALOG_RAYS, UNKNOWN, catalog_fan,
                        complete_fan_from_rays, identify_surface,
                        order_counterclockwise,

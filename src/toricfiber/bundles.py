@@ -145,7 +145,7 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
     """
     restriction = restriction_polytope(p, tau_idx, fan)
     chart = restriction.chart
-    pins = [(r, vdot(r, chart.origin)) for r in (fan.rays[i] for i in tau_idx)]
+    pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
     kept = {}
     for e, c in s.terms:
         if any(vdot(r, e) != h for r, h in pins):
@@ -277,12 +277,13 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
     """
     tau_idx = tuple(sorted(tau_idx))
     sigma_idx = tuple(sorted(sigma_idx))
+    # before the quotient map, whose failure would hide a tau off sigma
+    star = m.relative_star(tau_idx, sigma_idx)
     phi_bar, q_src, q_dst = quotient_surjection(m, tau_idx, sigma_idx)
     xi = _section(phi_bar, xi, "the quotient surjection")
     restricted, restriction = restrict_section_to_orbit_closure(
         s, tau_idx, p, m.source)
-    fiber_mat = m.relative_star(tau_idx, sigma_idx).fiber_matrix(
-        restriction.chart)
+    fiber_mat = star.fiber_matrix(restriction.chart)
     pair = tuple(tuple(vdot(q, b) for b in restriction.chart.basis)
                  for q in q_src.quotient_basis)
     # coords of a chart point in (N'/N'_tau)^* come from pairing with the

@@ -115,24 +115,3 @@ def intersect_cones(halfspaces_a, halfspaces_b, dim: int):
         raise ValueError("intersection of strongly convex cones has a line")
     return rays
 
-
-def halfspaces_to_vertices(inequalities, equations, dim: int):
-    """Vertices of the bounded polyhedron {<n,y> >= -c, <e,y> = -c}.
-
-    `inequalities` and `equations` are (vector, offset) pairs.  Raises
-    if the polyhedron is unbounded or empty, or has non-lattice vertices.
-    """
-    homog_ineq = [(c,) + tuple(n) for n, c in inequalities]
-    homog_ineq.append((1,) + (0,) * dim)  # t >= 0
-    homog_eq = [(c,) + tuple(e) for e, c in equations]
-    rays, lin = dual_description(homog_ineq, homog_eq, dim + 1)
-    if lin:
-        raise ValueError("polyhedron contains a line")
-    verts = []
-    for r in rays:
-        if r[0] == 0:
-            raise ValueError("polyhedron is unbounded")
-        if r[0] != 1:
-            raise ValueError("polyhedron has a non-lattice vertex")
-        verts.append(tuple(r[1:]))
-    return sorted(verts)

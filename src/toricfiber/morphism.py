@@ -414,18 +414,13 @@ class FanMap:
         are minimized.
         """
         sigma_idx = tuple(sorted(sigma_idx))
-        vert_index = {v: i for i, v in enumerate(polytope.vertices)}
-        mins = {}
-        for i, ray in enumerate(self.source.rays):
-            mins[i] = frozenset(vert_index[v]
-                                for v in polytope.minimizing_vertices(ray))
         support_vertices(polytope, self.source)  # raises if it does not refine
-        all_verts = frozenset(range(len(polytope.vertices)))
+        vert_index = {v: i for i, v in enumerate(polytope.vertices)}
+        rays = self.source.rays
         face_sets = {}
         for sp in self.sigma_prime_of(sigma_idx):
-            fs = all_verts
-            for i in sp:
-                fs &= mins[i]
+            fs = frozenset(vert_index[v] for v in
+                           polytope.face_vertices([rays[i] for i in sp]))
             if not fs:
                 raise InvariantError(
                     f"lighted part over sigma {sigma_idx}: the stratum cone "

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fans import Cone, Fan, fan_from_cones
-from .geometry import halfspaces_to_vertices
 from .intlinalg import (SublatticeCoords, Vec, kernel_basis, LatticeMap,
                         lin_comb, vadd, vdot, vsub)
 
@@ -132,9 +131,13 @@ class Polytope:
                              if vdot(n, v) == -c))
         return out
 
-    def minimizing_vertices(self, direction) -> list[Vec]:
-        best = min(vdot(v, direction) for v in self.vertices)
-        return [v for v in self.vertices if vdot(v, direction) == best]
+    def face_vertices(self, rays) -> list[Vec]:
+        """The vertices minimising every given ray: the vertices of the
+        face the rays cut out when one vertex minimises them all, none
+        when no vertex does, and all of them for no ray."""
+        minima = [(r, self._ray_minimum(r)) for r in rays]
+        return [v for v in self.vertices
+                if all(vdot(v, r) == m for r, m in minima)]
 
     def _ray_minimum(self, ray) -> int:
         """min <v, ray> over the vertices, kept per ray on first use."""
@@ -143,12 +146,6 @@ class Polytope:
             best = self._ray_minima[ray] = min(vdot(v, ray)
                                                for v in self.vertices)
         return best
-
-
-def facet_count(p: Polytope) -> int:
-    if not p.is_full_dimensional:
-        raise ValueError("facet count of a degenerate polytope is ambiguous")
-    return len(p.facets)
 
 
 def lattice_points(p: Polytope) -> list[Vec]:
@@ -187,9 +184,9 @@ def normal_fan(p: Polytope) -> Fan:
     corresponding face."""
     if not p.is_full_dimensional:
         raise ValueError("normal fan requires a full-dimensional polytope")
-    cones = []
-    for v in p.vertices:
-        cones.append([n for n, c in p.facets if vdot(n, v) == -c])
+    incidence = p.facet_vertex_incidence()
+    cones = [[n for (n, _), inc in zip(p.facets, incidence) if i in inc]
+             for i in range(len(p.vertices))]
     return fan_from_cones(p.ambient_rank, cones)
 
 
@@ -222,20 +219,23 @@ class SubspaceChart:
 
 @dataclass(frozen=True)
 class RestrictedPolytope:
-    """A polytope cut out inside an orthogonal-complement chart: the chart
-    points that `ambient` contains.  Membership reads the ambient
-    inequalities; the vertices are computed on first use of `polytope`."""
+    """The face of `ambient` cut out by the rays of tau, in the chart of
+    tau's orthogonal complement at a vertex of that face: the chart points
+    that `ambient` contains.  Membership reads the ambient inequalities;
+    the vertices, those of `ambient` on the face, are charted on first use
+    of `polytope`."""
 
     ambient: Polytope = field(repr=False)
     chart: SubspaceChart
+    tau_rays: tuple[Vec, ...] = field(repr=False)
 
     def contains(self, y) -> bool:
         return self.ambient.contains(self.chart.from_chart(y))
 
     @cached_property
     def polytope(self) -> Polytope:
-        return restrict_to_subspace(self.ambient, self.chart.origin,
-                                    self.chart.basis)
+        return Polytope(self.chart.to_chart(v)
+                        for v in self.ambient.face_vertices(self.tau_rays))
 
 
 def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
@@ -246,28 +246,17 @@ def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
     return kernel_basis(LatticeMap.from_rows([list(v) for v in vectors]))
 
 
-def restrict_to_subspace(p: Polytope, origin: Vec, basis) -> Polytope:
-    """(P - origin) intersected with the span of `basis`, in chart coords."""
-    def in_chart(rows):
-        return [(tuple(vdot(n, b) for b in basis), c + vdot(n, origin))
-                for n, c in rows]
-    return Polytope(halfspaces_to_vertices(in_chart(p.facets),
-                                           in_chart(p.equations), len(basis)))
-
-
 def support_vertex(p: Polytope, fan: Fan, cone_idx) -> Vec:
     """The vertex of P minimising every ray of a cone of the fan.
 
-    It is read off at the ray sum; the cone lies in a cone of the normal
-    fan of P exactly when that minimiser is unique and also minimises
-    each ray, and otherwise the fan does not refine the normal fan.
+    The cone lies in the normal cone of a vertex exactly when that vertex
+    is the only one minimising all its rays; otherwise the fan does not
+    refine the normal fan of P.
     """
-    mins = p.minimizing_vertices(fan.cone(cone_idx).relint_point())
-    rays = [fan.rays[i] for i in cone_idx]
-    if len(mins) != 1 or any(vdot(mins[0], r) != p._ray_minimum(r)
-                             for r in rays):
+    face = p.face_vertices([fan.rays[i] for i in cone_idx])
+    if len(face) != 1:
         raise ValueError("fan does not refine the normal fan of the polytope")
-    return mins[0]
+    return face[0]
 
 
 def support_vertices(p: Polytope, fan: Fan) -> dict:
@@ -281,8 +270,9 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
 
     Translates by the weight of the lexicographically smallest maximal
     cone containing tau and intersects with the orthogonal complement of
-    tau, expressed in a saturated basis of that complement.  Any other
-    valid weight gives a lattice translate.
+    tau, expressed in a saturated basis of that complement.  That weight
+    minimises every ray of tau, so the slice is the face of P they cut
+    out.  Any other valid weight gives a lattice translate.
     """
     tau_idx = tuple(sorted(tau_idx))
     if not ref_fan.has_cone(tau_idx):
@@ -291,9 +281,9 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     if not tops:
         raise ValueError("tau is not contained in a maximal cone")
     origin = support_vertex(p, ref_fan, tops[0])
-    tau_gens = [ref_fan.rays[i] for i in tau_idx]
-    basis = tuple(orthogonal_complement_basis(tau_gens, p.ambient_rank))
-    return RestrictedPolytope(p, SubspaceChart(origin, basis))
+    tau_rays = tuple(ref_fan.rays[i] for i in tau_idx)
+    basis = tuple(orthogonal_complement_basis(tau_rays, p.ambient_rank))
+    return RestrictedPolytope(p, SubspaceChart(origin, basis), tau_rays)
 
 
 def interior_lattice_points(p: Polytope) -> list[Vec]:

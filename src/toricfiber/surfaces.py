@@ -115,8 +115,8 @@ def planar_normal_form(points) -> tuple:
             d = primitivize(vsub(w, v))
             frames.append((v, d, (-d[1], d[0])))
     else:
-        edges = [[v for v in hull.vertices if vdot(n, v) == -c]
-                 for n, c in hull.facets]
+        edges = [[hull.vertices[i] for i in inc]
+                 for inc in hull.facet_vertex_incidence()]
         for v in hull.vertices:
             d1, d2 = (primitivize(vsub(w, v))
                       for e in edges if v in e for w in e if w != v)

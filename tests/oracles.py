@@ -15,6 +15,11 @@ fan and the stratum.  Surfaces and planar point sets are matched by the
 searches over unimodular solves that the GL(2,Z) normal forms replaced,
 and hulls by the two double descriptions (V to H, then H back to V) that
 the library ran before it read a polytope off one cone over its points.
+A polytope is restricted to a subspace through its H-description, by a
+double description of the slice, the way the library did before it read
+a restriction off the vertices of the face that a cone cuts out, and
+the support vertex of a cone is read off at its ray sum, the way the
+library did before it took the vertices minimising every ray.
 The star of a simplicial cone is taken in the quotient by its own rays,
 the way the library did before a star became a relative star.  A section
 is restricted to an orbit closure by putting every term through the chart
@@ -36,8 +41,9 @@ from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   mat_transpose, mat_vec, primitivize,
                                   quotient_lattice, saturate_columns,
                                   smith_normal_form, vadd, vdot, vsub)
-from toricfiber.polytopes import (face_polytope, orthogonal_complement_basis,
-                                  restrict_to_subspace, restriction_polytope)
+from toricfiber.polytopes import (Polytope, face_polytope,
+                                  orthogonal_complement_basis,
+                                  restriction_polytope)
 from toricfiber.surfaces import CATALOG_RAYS, UNKNOWN, order_counterclockwise
 
 
@@ -132,6 +138,53 @@ def chart_first_restriction(s, tau_idx, p, fan):
         if restriction.contains(y):
             kept[y] = c
     return LaurentSection.from_dict(kept)
+
+
+def halfspaces_to_vertices(inequalities, equations, dim: int):
+    """Vertices of the bounded polyhedron {<n,y> >= -c, <e,y> = -c}.
+
+    `inequalities` and `equations` are (vector, offset) pairs.  Raises
+    if the polyhedron is unbounded or empty, or has non-lattice vertices.
+    """
+    homog_ineq = [(c,) + tuple(n) for n, c in inequalities]
+    homog_ineq.append((1,) + (0,) * dim)  # t >= 0
+    homog_eq = [(c,) + tuple(e) for e, c in equations]
+    rays, lin = dual_description(homog_ineq, homog_eq, dim + 1)
+    if lin:
+        raise ValueError("polyhedron contains a line")
+    verts = []
+    for r in rays:
+        if r[0] == 0:
+            raise ValueError("polyhedron is unbounded")
+        if r[0] != 1:
+            raise ValueError("polyhedron has a non-lattice vertex")
+        verts.append(tuple(r[1:]))
+    return sorted(verts)
+
+
+def restrict_to_subspace(p, origin, basis):
+    """(P - origin) intersected with the span of `basis`, in chart
+    coordinates, from the H-description of P."""
+    def in_chart(rows):
+        return [(tuple(vdot(n, b) for b in basis), c + vdot(n, origin))
+                for n, c in rows]
+    return Polytope(halfspaces_to_vertices(in_chart(p.facets),
+                                           in_chart(p.equations), len(basis)))
+
+
+def ray_sum_support_vertex(p, fan, cone_idx):
+    """The vertex of p minimising every ray of a cone of fan, or None when
+    there is none: the unique minimiser of the ray sum, when it also
+    minimises each ray."""
+    rays = [fan.rays[i] for i in cone_idx]
+    w = tuple(map(sum, zip(*rays))) if rays else (0,) * fan.rank
+    best = min(vdot(v, w) for v in p.vertices)
+    mins = [v for v in p.vertices if vdot(v, w) == best]
+    if len(mins) == 1 and all(
+            vdot(mins[0], r) == min(vdot(v, r) for v in p.vertices)
+            for r in rays):
+        return mins[0]
+    return None
 
 
 def chart_interior_points(p):

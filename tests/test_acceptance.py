@@ -379,15 +379,8 @@ def test_criterion_09_projected_normal_fans():
 
 
 def _star_refines_normal_fan(proj, star_fan):
-    for cidx in star_fan.maximal_cones:
-        gens = [star_fan.rays[i] for i in cidx]
-        common = None
-        for g in gens:
-            mins = set(proj.minimizing_vertices(g))
-            common = mins if common is None else (common & mins)
-        if not common:
-            return False
-    return True
+    return all(proj.face_vertices([star_fan.rays[i] for i in cidx])
+               for cidx in star_fan.maximal_cones)
 
 
 @criterion(10, "singular locus, stars, and smooth resolution with the "

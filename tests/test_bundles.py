@@ -117,22 +117,16 @@ def test_restriction_kernel_dimension():
     assert len(restricted) == 0
 
 
-def test_section_restriction_computes_no_vertices(monkeypatch):
-    from toricfiber import polytopes
+def test_section_restriction_computes_no_vertices():
     p = data.section_polytope()
     fan = data.total_fan()
     s = LaurentSection.generic(p)
     tau = data.total_cone("v1' e2'")
-    expected = polytopes.restriction_polytope(p, tau, fan).polytope
-
-    def no_vertices(*args):
-        raise AssertionError("restriction vertices were computed")
-
-    monkeypatch.setattr(polytopes, "halfspaces_to_vertices", no_vertices)
+    expected = restriction_polytope(p, tau, fan).polytope
     restricted, restriction = restrict_section_to_orbit_closure(s, tau, p, fan)
+    assert "polytope" not in restriction.__dict__
     assert len(restricted) == 11
     assert all(restriction.contains(y) for y, _ in restricted.terms)
-    monkeypatch.undo()
     assert restriction.polytope.vertices == expected.vertices
 
 
@@ -323,6 +317,19 @@ def test_fibred_form_rejects_bad_xi():
         fibred_form(s, tau, sigma, m, p, xi=bad)
     _xi_errors(lambda xi: fibred_form(s, tau, sigma, m, p, xi=xi), phi_bar,
                "the quotient surjection")
+
+
+def test_fibred_form_rejects_tau_off_sigma():
+    # v1' lies over d4; its quotient map to N / N_r1 is not onto, but the
+    # error names the pair, not the map
+    m = data.fibration_map()
+    p = data.section_polytope()
+    s = LaurentSection.generic(p)
+    tau, sigma = data.total_cone("v1'"), data.base_cone("r1")
+    assert m.sigma_of(tau) == data.base_cone("d4")
+    with pytest.raises(ValueError, match="^tau does not lie over the "
+                                         "relative interior of sigma$"):
+        fibred_form(s, tau, sigma, m, p)
 
 
 def _xi_errors(build, f: LatticeMap, name: str):

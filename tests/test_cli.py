@@ -225,6 +225,19 @@ def test_fibred_xi_of_the_wrong_shape_names_both_shapes(tmp_path,
                    "surjection maps Z^1 to Z^3\n")
 
 
+@pytest.mark.parametrize("command", [["polytope", "project"],
+                                     ["bundle", "fibred"]])
+def test_tau_off_sigma_is_named(command, monkeypatch, capsys):
+    # v1' lies over d4, not over r1
+    monkeypatch.setattr(sys, "argv", ["toricfiber", *command, "--tau", "v1'",
+                                      "--sigma", "r1"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == (
+        "error: tau does not lie over the relative interior of sigma\n")
+
+
 @pytest.mark.parametrize("repeated, once", [
     (["morphism", "fibers", "--sigma", "r1,r1"],
      ["morphism", "fibers", "--sigma", "r1"]),

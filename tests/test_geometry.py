@@ -4,10 +4,10 @@ the hulls and cones described by it."""
 import itertools
 import random
 
-from oracles import cone_extreme_rays
+from oracles import cone_extreme_rays, halfspaces_to_vertices
 from toricfiber import fans
 from toricfiber.fans import Cone
-from toricfiber.geometry import dual_description, halfspaces_to_vertices
+from toricfiber.geometry import dual_description
 from toricfiber.intlinalg import primitivize, vdot
 from toricfiber.polytopes import Polytope
 

@@ -7,29 +7,30 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (ReferenceHull, box_scan_points, chart_facet_interior_sum,
                      chart_interior_points, fraction_sublattice_coords,
-                     hull_membership_oracle)
+                     hull_membership_oracle, ray_sum_support_vertex,
+                     restrict_to_subspace)
 from strategies import polytopes
 from toricfiber import data
 from toricfiber.analysis import facet_interior_sum
-from toricfiber.fans import Fan
-from toricfiber.intlinalg import lin_comb, vadd, vdot, vsub
+from toricfiber.fans import Fan, star_subdivide
+from toricfiber.intlinalg import lin_comb, primitivize, vadd, vdot, vsub
 from toricfiber.polytopes import (Polytope, SubspaceChart, dual_polytope,
-                                  face_polytope, facet_count,
-                                  interior_lattice_points, is_reflexive,
-                                  lattice_points, normal_fan,
+                                  face_polytope, interior_lattice_points,
+                                  is_reflexive, lattice_points, normal_fan,
                                   orthogonal_complement_basis,
-                                  restriction_polytope, support_vertices)
+                                  restriction_polytope, support_vertex,
+                                  support_vertices)
 
 
 def test_unit_square_from_five_points():
     p = Polytope([(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
     assert len(p.vertices) == 4
-    assert facet_count(p) == 4
+    assert len(p.facets) == 4
 
 
 def test_simplex_facets():
     p = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert facet_count(p) == 4
+    assert len(p.facets) == 4
 
 
 @st.composite
@@ -72,7 +73,7 @@ def test_hull_of_one_cone_matches_two_double_descriptions(pts):
 def test_big_polytope_data():
     p = data.section_polytope()
     assert len(p.vertices) == 14
-    assert facet_count(p) == 9
+    assert len(p.facets) == 9
     assert is_reflexive(p)
     assert len(lattice_points(p)) == 3365
 
@@ -105,7 +106,7 @@ def test_dual_polytope():
     expected = {data.TOTAL_RAYS[n] for n in
                 ["v1'", "v2'", "c1'", "c2'", "v4'", "v5'", "f'", "g'", "v6'"]}
     assert set(d.vertices) == expected
-    assert facet_count(d) == 14
+    assert len(d.facets) == 14
     assert dual_polytope(d) == p
     # the facet of the dual labelled by m6' has 7 vertices
     m6 = data.POLYTOPE_VERTICES[5]
@@ -195,9 +196,7 @@ def test_restriction_translation_stability():
     tops = [c for c in total.maximal_cones if total.is_face(tau, c)]
     base_pts = None
     for top in tops:
-        w = total.cone(top).relint_point()
-        origin = p.minimizing_vertices(w)[0]
-        from toricfiber.polytopes import restrict_to_subspace
+        origin, = p.face_vertices([total.rays[i] for i in top])
         q = restrict_to_subspace(p, origin, r.chart.basis)
         pts = sorted(lattice_points(q))
         anchored = [tuple(x - y for x, y in zip(pt, pts[0])) for pt in pts]
@@ -273,6 +272,79 @@ def test_cached_ray_minima_carry_no_refinement_verdict():
     wedge = Fan(2, [(3, 2), (1, -1)], [(0, 1)])
     with pytest.raises(ValueError, match="does not refine"):
         support_vertices(square, wedge)
+
+
+def _wide_cones(fan):
+    """The cones of dimension at least 2 of a simplicial fan, at whose ray
+    sums it can be star-subdivided; none for a fan that is not simplicial."""
+    if not all(fan.cone(c).is_simplicial for c in fan.maximal_cones):
+        return []
+    return sorted(c for c in fan.all_cone_indices if len(c) >= 2)
+
+
+def _subdivided(fan, cone):
+    return star_subdivide(fan, primitivize(fan.cone(cone).relint_point()))
+
+
+def _with_refinement(fan, picks):
+    """The fan, and when it is simplicial its star subdivision at the ray
+    sum of a drawn cone."""
+    wide = _wide_cones(fan)
+    if not wide:
+        return [fan]
+    return [fan, _subdivided(fan, picks.draw(st.sampled_from(wide)))]
+
+
+def _assert_restrictions_match_h_description(p, fan):
+    for tau in fan.all_cone_indices:
+        r = restriction_polytope(p, tau, fan)
+        assert r.polytope == restrict_to_subspace(p, r.chart.origin,
+                                                  r.chart.basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes().filter(lambda p: p.is_full_dimensional), st.data())
+def test_restriction_is_the_face_of_the_h_description(p, picks):
+    """On every cone of the normal fan and of a refinement, the restriction
+    read off the face's vertices is the slice of the H-description."""
+    for fan in _with_refinement(normal_fan(p), picks):
+        _assert_restrictions_match_h_description(p, fan)
+
+
+def test_restriction_is_the_face_on_named_fans():
+    # the cube's normal fan subdivided at each of its cones in turn, a
+    # pyramid whose apex cone is not simplicial, and the bundled fan
+    cube = Polytope(itertools.product((0, 1), repeat=3))
+    fan = normal_fan(cube)
+    assert len(_wide_cones(fan)) == 20
+    for cone in _wide_cones(fan):
+        _assert_restrictions_match_h_description(cube, _subdivided(fan, cone))
+    pyramid = Polytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    assert not _wide_cones(normal_fan(pyramid))
+    _assert_restrictions_match_h_description(pyramid, normal_fan(pyramid))
+    _assert_restrictions_match_h_description(data.section_polytope(),
+                                             data.total_fan())
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes().filter(lambda p: p.is_full_dimensional), st.data())
+def test_support_vertex_matches_the_ray_sum_rule(p, picks):
+    """The same vertex or the same rejection as the ray-sum rule, on every
+    cone of refining fans and of the fans of another polytope, which
+    mostly do not refine the normal fan of p."""
+    point = st.tuples(*[st.integers(-2, 2)] * p.ambient_rank)
+    other = Polytope(picks.draw(st.lists(point, min_size=1, max_size=7)))
+    fans = _with_refinement(normal_fan(p), picks)
+    if other.is_full_dimensional:
+        fans += _with_refinement(normal_fan(other), picks)
+    for fan in fans:
+        for cone in fan.all_cone_indices:
+            expected = ray_sum_support_vertex(p, fan, cone)
+            if expected is None:
+                with pytest.raises(ValueError, match="does not refine"):
+                    support_vertex(p, fan, cone)
+            else:
+                assert support_vertex(p, fan, cone) == expected
 
 
 def test_facet_interior_sum_on_named_polytopes():
