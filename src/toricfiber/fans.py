@@ -1,8 +1,11 @@
 """Rational polyhedral cones and fans.
 
-Cones are stored by primitive generators.  One double description per
-cone gives its facet normals and span equations, and its dimension,
-extreme rays, faces and every membership question are read off them.
+Cones are stored by primitive generators.  One description per cone
+gives its facet normals and span equations, and its dimension, extreme
+rays, faces and every membership question are read off them.  A
+full-dimensional simplicial cone is read off its dual basis, the columns
+of one fraction-free inverse of its generators; any other cone takes a
+double description.
 Fans keep a ray table plus index tuples, with every face registered on
 construction.
 Every fan is validated: a complete fan by a local certificate read off
@@ -20,8 +23,8 @@ from math import prod
 
 from .geometry import dual_description, intersect_cones
 from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
-                        mat_vec, primitivize, smith_normal_form,
-                        solve_unimodular, vdot)
+                        mat_vec, primitivize, scaled_inverse,
+                        smith_normal_form, solve_unimodular, vdot)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,20 @@ class Cone:
 
     @cached_property
     def halfspaces(self):
-        return dual_description(self.generators, [], self.ambient_rank)
+        """(inward primitive facet normals, span equations).  For n
+        independent generators in rank n, normal j is the primitive column j
+        of the adjugate, the dual basis vector that vanishes on every other
+        generator, signed to pair positively with generator j; this is what
+        the double description returns, in the same order."""
+        n, gens = self.ambient_rank, self.generators
+        if len(gens) == n and all(len(g) == n for g in gens):
+            inverse = scaled_inverse(gens)
+            if inverse is not None:
+                d, cols = inverse
+                s = 1 if d > 0 else -1
+                return [primitivize([s * row[j] for row in cols])
+                        for j in range(n)], []
+        return dual_description(gens, [], n)
 
     def _extreme_rays(self):
         """The generators that span extreme rays, in order, or None when
@@ -174,8 +190,13 @@ class Fan:
 
     def __init__(self, rank: int, rays, maximal_cones):
         self.rank = int(rank)
+        if self.rank < 0:
+            raise ValueError(f"fan rank {self.rank} is negative")
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
         for r in self.rays:
+            if len(r) != self.rank:
+                raise ValueError(f"ray {r} has {len(r)} coordinates, but "
+                                 f"the fan has rank {self.rank}")
             if is_zero(r):
                 raise ValueError("zero vector is not a ray")
             if not is_primitive(r):

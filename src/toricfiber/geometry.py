@@ -13,8 +13,11 @@ from .intlinalg import Vec, is_zero, primitivize, vdot
 
 
 def _project_off(v, pivot, a_pivot, a_v):
-    """Integer combination a_pivot * v - a_v * pivot (kills constraint a)."""
-    return tuple(a_pivot * x - a_v * y for x, y in zip(v, pivot))
+    """Integer combination a_pivot * v - a_v * pivot (kills constraint a).
+    A list comprehension: it times below both the generator and every
+    `map` form, which cannot fold in the two scalars without a bound
+    method or a repeat per call."""
+    return tuple([a_pivot * x - a_v * y for x, y in zip(v, pivot)])
 
 
 def dual_description(inequalities, equations, dim: int):

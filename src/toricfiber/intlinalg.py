@@ -141,6 +141,34 @@ def mat_rank(a) -> int:
     return _bareiss(a)[0]
 
 
+def scaled_inverse(a):
+    """(d, d a^-1) for a nonsingular square integer matrix, d = +-det a,
+    or None when a is singular.
+
+    One fraction-free Gauss-Jordan pass on [a | I] (Bareiss, Math.
+    Comp. 22, 1968): every row below and above the pivot is eliminated
+    with the same exact division by the previous pivot, so the left block
+    ends as d I and the right block as d a^-1, an adjugate up to sign."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        row = m[k]
+        pk = row[k]
+        for i in range(n):
+            if i != k:
+                mik = m[i][k]
+                m[i] = [(x * pk - mik * y) // prev
+                        for x, y in zip(m[i], row)]
+        prev = pk
+    return prev, [r[n:] for r in m]
+
+
 def lin_comb(coeffs, vectors, rank: int) -> Vec:
     """sum_j coeffs[j] * vectors[j], a vector of length `rank`."""
     out = [0] * rank

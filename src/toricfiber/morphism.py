@@ -133,6 +133,7 @@ class FanMap:
         self.source = source
         self.target = target
         self._strata: dict[tuple[int, ...], _Stratum] = {}
+        self._star_fans: dict = {}
 
     # -- image ------------------------------------------------------------
 
@@ -308,9 +309,13 @@ class FanMap:
             gens = [project(i) for i in sp if i not in tau_idx]
             if not self.source.cone(sp).is_simplicial:
                 gens = Cone.make(gens, quot.rank).generators
-            cones.append(gens)
-        return RelativeStar(fan_from_cones(quot.rank, cones), tau_idx,
-                            sigma_idx, lifts)
+            cones.append(tuple(gens))
+        # stars over one map often repeat: build and validate each once
+        key = (quot.rank, tuple(cones))
+        fan = self._star_fans.get(key)
+        if fan is None:
+            fan = self._star_fans[key] = fan_from_cones(*key)
+        return RelativeStar(fan, tau_idx, sigma_idx, lifts)
 
     def component_label(self, star: RelativeStar) -> str:
         fan = star.fan

@@ -7,6 +7,7 @@ rays are the vertices, and its facets and span equations are those of P
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,8 @@ class Polytope:
             sorted((e[1:], e[0]) for e in eqs))
         self._lattice_points = None
         self._ray_minima: dict = {}
+        # fans that restriction_polytope found to refine the normal fan
+        self._refining_fans = weakref.WeakSet()
 
     @property
     def dim(self) -> int:
@@ -268,15 +271,20 @@ def support_vertices(p: Polytope, fan: Fan) -> dict:
 def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolytope:
     """Polytope of the bundle restricted to the orbit closure of a cone.
 
-    Translates by the weight of the lexicographically smallest maximal
-    cone containing tau and intersects with the orthogonal complement of
-    tau, expressed in a saturated basis of that complement.  That weight
+    Raises unless the fan refines the normal fan of P, checked on every
+    maximal cone the first time this polytope meets this fan.  Translates
+    by the weight of the lexicographically smallest maximal cone
+    containing tau and intersects with the orthogonal complement of tau,
+    expressed in a saturated basis of that complement.  That weight
     minimises every ray of tau, so the slice is the face of P they cut
     out.  Any other valid weight gives a lattice translate.
     """
     tau_idx = tuple(sorted(tau_idx))
     if not ref_fan.has_cone(tau_idx):
         raise ValueError("tau is not a cone of the fan")
+    if ref_fan not in p._refining_fans:
+        support_vertices(p, ref_fan)
+        p._refining_fans.add(ref_fan)
     tops = sorted(c for c in ref_fan.maximal_cones if ref_fan.is_face(tau_idx, c))
     if not tops:
         raise ValueError("tau is not contained in a maximal cone")

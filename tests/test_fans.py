@@ -6,10 +6,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (cone_extreme_rays, face_table, facet_closure,
                      quotient_star, scan_locate_relint)
-from toricfiber import data
+from toricfiber import data, fans
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_from_cones,
                              fan_isomorphic, singular_locus_cones,
                              star_subdivide, zero_fan)
+from toricfiber.geometry import dual_description
 from toricfiber.intlinalg import (is_zero, lin_comb, mat_rank, mat_vec,
                                   primitivize)
 from toricfiber.morphism import star
@@ -59,6 +60,20 @@ def test_total_fan_builds_and_is_singular():
 def test_build_rejects_non_primitive_ray():
     with pytest.raises(ValueError):
         Fan(2, [(2, 4)], [[0]])
+
+
+def test_build_rejects_a_negative_rank_or_a_ray_of_another_length():
+    with pytest.raises(ValueError, match="rank -1 is negative"):
+        Fan(-1, [], [])
+    with pytest.raises(ValueError, match=r"ray \(1, 0, 0\) has 3 "
+                       "coordinates, but the fan has rank 2"):
+        Fan(2, [(1, 0, 0), (0, 1, 0)], [[0, 1]])
+    with pytest.raises(ValueError, match=r"ray \(1, 0\) has 2 "
+                       "coordinates, but the fan has rank 3"):
+        Fan(3, [(1, 0)], [[0]])
+    # a bare cone is not checked: its description pairs the vectors
+    with pytest.raises(ValueError, match="vectors of lengths"):
+        Cone(((1, 0, 0), (0, 1, 0)), 2).halfspaces
 
 
 def test_build_rejects_overlap():
@@ -317,6 +332,49 @@ def test_extreme_rays_match_a_second_double_description(case):
     cone = Cone.make(gens, rank)
     assert sorted(cone.generators) == sorted(expected)
     assert cone.dim == mat_rank(gens)
+
+
+@st.composite
+def independent_primitive_sets(draw):
+    """(rank, generators): n independent primitive vectors in rank n,
+    for n from 0 to 6, with entries up to 10 in absolute value."""
+    n = draw(st.integers(0, 6))
+    gens = draw(st.lists(st.tuples(*[st.integers(-10, 10)] * n),
+                         min_size=n, max_size=n))
+    assume(mat_rank(gens) == n)
+    return n, [primitivize(g) for g in gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(independent_primitive_sets())
+@example((0, []))
+@example((2, [(1, 0), (0, 1)]))
+@example((3, [(0, 0, 1), (-7, 10, 3), (1, 1, 0)]))
+def test_full_dimensional_simplicial_facets_match_the_double_description(
+        case):
+    """The facets read off the adjugate are the double description's,
+    in its order, with no span equations."""
+    n, gens = case
+    assert Cone(tuple(gens), n).halfspaces == dual_description(gens, [], n)
+
+
+def test_singular_square_sets_take_the_double_description(monkeypatch):
+    calls = []
+
+    def counted(inequalities, equations, dim):
+        calls.append(dim)
+        return dual_description(inequalities, equations, dim)
+
+    monkeypatch.setattr(fans, "dual_description", counted)
+    for gens in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                 [(1, 2, 0), (0, 0, 1), (-1, -2, 0)],
+                 [(1, 1), (1, 1)]):
+        cone = Cone(tuple(gens), len(gens))
+        assert cone.dim < len(gens) and not cone.is_simplicial
+        assert calls == [len(gens)]
+        calls.clear()
+    cone = Cone(((1, 0, 0), (1, 1, 0), (1, 1, 1)), 3)
+    assert cone.dim == 3 and cone.is_simplicial and not calls
 
 
 def test_relint_face_of_a_square_cone():

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import member_index
-from toricfiber import data
+from toricfiber import data, morphism
 from toricfiber.fans import Fan, fan_equal, zero_fan
 from toricfiber.intlinalg import LatticeMap, cokernel_index
 from toricfiber.morphism import EMPTY, FanMap, is_map_of_fans
@@ -343,3 +343,26 @@ def test_map_to_a_point_is_a_fibration():
             for sigma, rep in table] == [((), 1, ["X(5)"])]
     assert m.is_fibration().is_fibration
     assert fan_equal(m.relative_star((), ()).fan, source)
+
+
+def test_stars_share_one_fan_per_distinct_star():
+    # every star of the bundled map's fibers, against the star taken on a
+    # map of its own, which has no other star to share a fan with
+    m = data.fibration_map()
+    stars = []
+    for _, rep in m.flattening_stratification():
+        stars += [c.star for c in rep.components]
+        stars += [s for s in rep.intersections.values() if s != EMPTY]
+    for s in stars:
+        fresh = FanMap(m.phi, m.source, m.target).relative_star(
+            s.tau, s.sigma)
+        assert fresh.fan is not s.fan
+        assert (s.fan.rank, s.fan.rays, s.fan.maximal_cones,
+                s.fan.is_complete()) == \
+            (fresh.fan.rank, fresh.fan.rays, fresh.fan.maximal_cones,
+             fresh.fan.is_complete())
+        assert s.lifts == fresh.lifts
+    assert len({id(s.fan) for s in stars}) < len(stars)
+    # two stars listing only the cone tau itself differ by their rank
+    f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]])
+    assert [morphism.star(f, tau).rank for tau in ((0, 1), (2,))] == [0, 1]

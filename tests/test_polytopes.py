@@ -187,6 +187,20 @@ def test_restriction_polytope_rows():
     assert {r.chart.from_chart(x) for x in pts} == reference
 
 
+def test_restriction_checks_every_maximal_cone():
+    # tau = (0,) lies only in the cone {0, 1}, which has a support vertex;
+    # the cone {1, 2} has none, so the fan does not refine the square's
+    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    f = Fan(2, [(1, 0), (1, 1), (-1, 2)], [[0, 1], [1, 2]])
+    assert support_vertex(square, f, (0, 1)) == (0, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not refine"):
+            restriction_polytope(square, (0,), f)
+    nf = normal_fan(square)
+    r = restriction_polytope(square, (0,), nf)
+    assert restriction_polytope(square, (0,), nf) == r
+
+
 def test_restriction_translation_stability():
     # any other valid weight vertex gives a lattice translate
     p = data.section_polytope()
