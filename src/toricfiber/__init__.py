@@ -6,12 +6,10 @@ from .analysis import (DISCRIMINANTS, DiscriminantShape, IntersectionTable,
                        adjunction_genus, discriminant_eval,
                        facet_interior_sum, fiber_pattern_note,
                        intersection_table, moduli_dimension, resolve_pipeline)
-from .bundles import (FiberSection, FibredForm, HomogeneousForm,
-                      LaurentSection, PLFunction, fibred_form,
-                      fibred_homogeneous_form, homogeneous_form, is_principal,
-                      plf_from_polytope, polytope_from_plf, pullback_bundle,
-                      quotient_surjection, restrict_section_to_orbit_closure,
-                      restrict_to_fiber, same_bundle, xi_transition)
+from .bundles import (FibredForm, HomogeneousForm, LaurentSection,
+                      fibred_form, fibred_homogeneous_form, homogeneous_form,
+                      pullback_bundle, quotient_surjection,
+                      restrict_section_to_orbit_closure)
 from .fans import (Cone, Fan, fan_equal, fan_from_cones, fan_isomorphic,
                    singular_locus_cones, star_subdivide, zero_fan)
 from .intlinalg import (INFINITE, InvariantError, LatticeMap, QuotientLattice,

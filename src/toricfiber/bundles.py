@@ -1,6 +1,10 @@
-"""Equivariant line bundles as piecewise linear weight systems, and the
-restriction / regrouping calculus for their sections along orbit
-closures and fiber components.
+"""Sections of equivariant line bundles, their restriction to orbit
+closures, and their regrouping along fiber components.
+
+A line bundle on a fan that refines the normal fan of a polytope P is
+the vertex of P per maximal cone that `polytopes.support_vertices`
+returns (its Cartier data); a section is a Laurent polynomial with
+exponents among the lattice points of P.
 
 Coefficients in sections are exact rationals or opaque string labels;
 labels survive regrouping untouched, which is all the symbolic algebra
@@ -16,79 +20,9 @@ from .fans import Fan
 from .intlinalg import (InvariantError, LatticeMap, Vec, dual_map, is_zero,
                         mat_mul, mat_transpose, mat_vec, quotient_lattice,
                         saturate_columns, section_of_surjection, vdot, vsub)
-from .morphism import FanMap, RelativeStar
+from .morphism import FanMap
 from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
                         restriction_polytope, support_vertices)
-
-
-@dataclass(frozen=True)
-class PLFunction:
-    """Piecewise linear function as a weight per maximal cone.
-
-    weights[c] is the dual-lattice vector whose restriction to the cone
-    with index tuple c realizes the function there.
-    """
-
-    fan: Fan
-    weights: tuple[tuple[tuple[int, ...], Vec], ...]
-
-    @classmethod
-    def from_dict(cls, fan: Fan, weights: dict) -> "PLFunction":
-        return cls(fan, tuple(sorted((tuple(sorted(k)), tuple(v))
-                                     for k, v in weights.items())))
-
-    def weight(self, cone_idx) -> Vec:
-        key = tuple(sorted(cone_idx))
-        for k, v in self.weights:
-            if k == key:
-                return v
-        raise KeyError(cone_idx)
-
-    def is_compatible(self) -> bool:
-        """Weights agree on shared rays of any two maximal cones."""
-        items = self.weights
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                (ci, wi), (cj, wj) = items[i], items[j]
-                diff = vsub(wi, wj)
-                for r in set(ci) & set(cj):
-                    if vdot(diff, self.fan.rays[r]) != 0:
-                        return False
-        return True
-
-    def value(self, v: Vec):
-        for idx in self.fan.maximal_cones:
-            if self.fan.cone(idx).contains(v):
-                return vdot(self.weight(idx), v)
-        raise ValueError("point outside the fan support")
-
-
-def plf_from_polytope(p: Polytope, fan: Fan) -> PLFunction:
-    """Support-function weights of a polytope on a refining fan.
-
-    The weight of a maximal cone is the unique vertex minimizing the
-    pairing on it; non-uniqueness means the fan does not refine the
-    normal fan and is an error.
-    """
-    return PLFunction.from_dict(fan, support_vertices(p, fan))
-
-
-def polytope_from_plf(h: PLFunction) -> Polytope:
-    return Polytope([w for _, w in h.weights])
-
-
-def is_principal(h: PLFunction) -> bool:
-    vals = {w for _, w in h.weights}
-    return len(vals) == 1
-
-
-def same_bundle(h1: PLFunction, h2: PLFunction) -> bool:
-    """Equal in the Picard group: the weight systems differ by one
-    global linear function."""
-    if h1.fan is not h2.fan and h1.fan.rays != h2.fan.rays:
-        return False
-    diffs = {vsub(w1, h2.weight(c)) for c, w1 in h1.weights}
-    return len(diffs) == 1
 
 
 @dataclass(frozen=True)
@@ -100,7 +34,8 @@ class LaurentSection:
     @classmethod
     def from_dict(cls, terms: dict) -> "LaurentSection":
         """The section with coefficient c at each exponent e; a character
-        has integral exponents, so any other term is a ValueError."""
+        has integral exponents, all of one length, so any other term is a
+        ValueError."""
         out = []
         for e, c in terms.items():
             e = tuple(e)
@@ -110,6 +45,9 @@ class LaurentSection:
                 m = None
             if m != e:
                 raise ValueError(f"term {c} at {e}: exponents must be integers")
+            if out and len(m) != len(out[0][0]):
+                raise ValueError(f"term {c} at {e}: {len(m)} exponents, but "
+                                 f"an earlier term has {len(out[0][0])}")
             out.append((m, c))
         return cls(tuple(sorted(out, key=lambda t: t[0])))
 
@@ -130,6 +68,14 @@ class LaurentSection:
         return total
 
 
+def _check_rank(s: LaurentSection, rank: int, of: str):
+    """Raise unless the section's exponents have length rank; from_dict
+    gives every term one length, so the first term speaks for all."""
+    if s.terms and len(s.terms[0][0]) != rank:
+        raise ValueError(f"the section's exponents have length "
+                         f"{len(s.terms[0][0])}, but the {of} has rank {rank}")
+
+
 def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
                                       fan: Fan):
     """Keep the terms on the face of P cut out by tau and re-express them
@@ -143,6 +89,7 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
 
     Returns (restricted section, RestrictedPolytope).
     """
+    _check_rank(s, p.ambient_rank, "polytope")
     restriction = restriction_polytope(p, tau_idx, fan)
     chart = restriction.chart
     pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
@@ -167,38 +114,6 @@ def pullback_bundle(f: FanMap, p2: Polytope) -> Polytope:
     support_vertices(p2, f.target)
     phi_t = dual_map(f.phi)
     return Polytope([phi_t.apply(v) for v in p2.vertices])
-
-
-@dataclass(frozen=True)
-class FiberSection:
-    """Terms of a restricted section grouped by fiber exponent."""
-
-    groups: tuple[tuple[Vec, tuple[tuple[Vec, object], ...]], ...]
-    polytope: Polytope
-    star: RelativeStar
-
-    def group_sizes(self) -> dict:
-        return {f: len(terms) for f, terms in self.groups}
-
-
-def restrict_to_fiber(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
-                      p: Polytope) -> FiberSection:
-    """Restriction of a section to an irreducible fiber component.
-
-    Exponents collapse onto the projected polytope; each fiber exponent
-    carries the chart exponents (base data) that land on it.
-    """
-    restricted, restriction = restrict_section_to_orbit_closure(
-        s, tau_idx, p, m.source)
-    proj, star = m.project_polytope(restriction, tau_idx, sigma_idx)
-    fiber_of = star.fiber_matrix(restriction.chart)
-    groups: dict = {}
-    for y, c in restricted.terms:
-        f = mat_vec(fiber_of, y)
-        groups.setdefault(f, []).append((y, c))
-    return FiberSection(
-        tuple(sorted((f, tuple(terms)) for f, terms in groups.items())),
-        proj, star)
 
 
 @dataclass(frozen=True)
@@ -305,31 +220,6 @@ def fibred_form(s: LaurentSection, tau_idx, sigma_idx, m: FanMap,
         fiber_mat, base_mat, pair, restriction)
 
 
-def xi_transition(xi1: LatticeMap, xi2: LatticeMap, form1: FibredForm,
-                  form2: FibredForm) -> bool:
-    """Check the two fibred forms differ exactly by the character of
-    (xi2 - xi1) transposed, term by term, with identical fiber groups."""
-    g1 = {f: {chart: (b, c) for b, chart, c in terms} for f, terms in form1.groups}
-    g2 = {f: {chart: (b, c) for b, chart, c in terms} for f, terms in form2.groups}
-    if g1.keys() != g2.keys():
-        return False
-    delta_t = mat_transpose([[x2 - x1 for x1, x2 in zip(r1, r2, strict=True)]
-                             for r1, r2 in zip(xi1.matrix, xi2.matrix, strict=True)])
-    for f in g1:
-        if g1[f].keys() != g2[f].keys():
-            return False
-        for chart, (b1, c1) in g1[f].items():
-            b2, c2 = g2[f][chart]
-            if c1 != c2:
-                return False
-            # base exponents are xi^T of the quotient-dual coordinates of
-            # the term, so the shift must be delta^T of those coordinates
-            coords = mat_vec(form1.quotient_pair, chart)
-            if vsub(b2, b1) != mat_vec(delta_t, coords):
-                return False
-    return True
-
-
 def _monomial(point, exps):
     val = Fraction(1)
     for t, k in zip(point, exps, strict=True):
@@ -354,6 +244,7 @@ def homogeneous_form(s: LaurentSection, p: Polytope, fan: Fan,
     Raises when a term would need a negative exponent, i.e. the section
     is not holomorphic for the given divisor.
     """
+    _check_rank(s, fan.rank, "fan")
     a = list(divisor_coeffs)
     if len(a) != len(fan.rays):
         raise ValueError("one divisor coefficient per ray is required")

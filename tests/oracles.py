@@ -26,7 +26,10 @@ is restricted to an orbit closure by putting every term through the chart
 solve, the way the library did before it kept only the terms that pair
 with the cone like the chart origin.  The discriminants of the fiber
 section families are the term table that the library evaluated before it
-computed them from their classical formulas.
+computed them from their classical formulas.  Two fibred forms of one
+section under splittings xi1 and xi2 are compared term by term against
+the transition law, the character of (xi2 - xi1) transposed, a check
+that the library carried before it kept only the forms.
 """
 
 import itertools
@@ -138,6 +141,30 @@ def chart_first_restriction(s, tau_idx, p, fan):
         if restriction.contains(y):
             kept[y] = c
     return LaurentSection.from_dict(kept)
+
+
+def xi_transition(xi1, xi2, form1, form2) -> bool:
+    """Check the two fibred forms differ exactly by the character of
+    (xi2 - xi1) transposed, term by term, with identical fiber groups."""
+    g1 = {f: {chart: (b, c) for b, chart, c in terms} for f, terms in form1.groups}
+    g2 = {f: {chart: (b, c) for b, chart, c in terms} for f, terms in form2.groups}
+    if g1.keys() != g2.keys():
+        return False
+    delta_t = mat_transpose([[x2 - x1 for x1, x2 in zip(r1, r2, strict=True)]
+                             for r1, r2 in zip(xi1.matrix, xi2.matrix, strict=True)])
+    for f in g1:
+        if g1[f].keys() != g2[f].keys():
+            return False
+        for chart, (b1, c1) in g1[f].items():
+            b2, c2 = g2[f][chart]
+            if c1 != c2:
+                return False
+            # base exponents are xi^T of the quotient-dual coordinates of
+            # the term, so the shift must be delta^T of those coordinates
+            coords = mat_vec(form1.quotient_pair, chart)
+            if vsub(b2, b1) != mat_vec(delta_t, coords):
+                return False
+    return True
 
 
 def halfspaces_to_vertices(inequalities, equations, dim: int):

@@ -6,23 +6,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import chart_first_restriction
+from oracles import chart_first_restriction, xi_transition
 from strategies import polytopes
 from toricfiber import data
 from toricfiber.bundles import (LaurentSection, fibred_form,
                                 fibred_homogeneous_form, homogeneous_form,
-                                is_principal, plf_from_polytope,
-                                polytope_from_plf, pullback_bundle,
-                                quotient_surjection,
-                                restrict_section_to_orbit_closure,
-                                restrict_to_fiber, same_bundle,
-                                xi_transition)
+                                pullback_bundle, quotient_surjection,
+                                restrict_section_to_orbit_closure)
 from toricfiber.fans import Fan
 from toricfiber.intlinalg import (LatticeMap, dual_map, kernel_basis,
-                                  mat_det, section_of_surjection, vdot)
+                                  mat_det, section_of_surjection, vdot, vsub)
 from toricfiber.morphism import FanMap
 from toricfiber.polytopes import (Polytope, SubspaceChart, lattice_points,
-                                  normal_fan, restriction_polytope)
+                                  normal_fan, restriction_polytope,
+                                  support_vertices)
 
 
 def cp2_setup():
@@ -31,32 +28,35 @@ def cp2_setup():
     return fan, p
 
 
+# A line bundle on a fan refining the normal fan of P is its Cartier data:
+# the support vertex of P on each maximal cone, as support_vertices gives it.
+
 def test_plf_reflexive_anticanonical():
+    # the anticanonical weights pair to -1 with every ray of every cone
     p = data.section_polytope()
     fan = data.total_fan()
-    h = plf_from_polytope(p, fan)
-    assert h.is_compatible()
-    assert all(h.value(r) == -1 for r in fan.rays)
+    h = support_vertices(p, fan)
+    assert len(h) == len(fan.maximal_cones) == 54
+    assert all(vdot(h[c], fan.rays[i]) == -1 for c in h for i in c)
 
 
 def test_plf_round_trip():
     p = data.section_polytope()
-    h = plf_from_polytope(p, data.total_fan())
-    assert polytope_from_plf(h) == p
+    assert Polytope(support_vertices(p, data.total_fan()).values()) == p
     fan, tri = cp2_setup()
-    assert polytope_from_plf(plf_from_polytope(tri, fan)) == tri
+    assert Polytope(support_vertices(tri, fan).values()) == tri
 
 
 def test_plf_point_is_principal():
+    # principal: one weight on every cone, a global character
     fan, _ = cp2_setup()
-    point = Polytope([(3, -2)])
-    h = plf_from_polytope(point, fan)
-    assert is_principal(h)
+    h = support_vertices(Polytope([(3, -2)]), fan)
+    assert set(h.values()) == {(3, -2)}
     segment_fan = Fan(1, [(1,), (-1,)], [[0], [1]])
     seg = Polytope([(0,), (1,)])
-    h = plf_from_polytope(seg, segment_fan)
-    assert not is_principal(h)
-    assert polytope_from_plf(h) == seg
+    h = support_vertices(seg, segment_fan)
+    assert len(set(h.values())) == 2
+    assert Polytope(h.values()) == seg
 
 
 def test_plf_rejects_non_refining_fan():
@@ -65,7 +65,7 @@ def test_plf_rejects_non_refining_fan():
                      [[0, 1], [1, 2], [2, 3], [3, 0]])
     _, tri = cp2_setup()
     with pytest.raises(ValueError):
-        plf_from_polytope(tri, quad)
+        support_vertices(tri, quad)
 
 
 def test_refinement_checks_every_ray():
@@ -78,19 +78,24 @@ def test_refinement_checks_every_ray():
     with pytest.raises(ValueError, match="does not refine"):
         pullback_bundle(m, square)
     with pytest.raises(ValueError, match="does not refine"):
-        plf_from_polytope(square, wedge)
+        support_vertices(square, wedge)
     with pytest.raises(ValueError, match="does not refine"):
         m.lighted_part(square, (0, 1))
 
 
 def test_same_bundle_linear_shift():
+    # the same bundle: the weights differ by one character on every cone
     fan, tri = cp2_setup()
-    h1 = plf_from_polytope(tri, fan)
+    h1 = support_vertices(tri, fan)
+
+    def differences(q):
+        h2 = support_vertices(q, fan)
+        return {vsub(h2[c], h1[c]) for c in h1}
+
     shifted = Polytope([(v[0] + 2, v[1] - 1) for v in tri.vertices])
-    h2 = plf_from_polytope(shifted, fan)
-    assert same_bundle(h1, h2)
+    assert differences(shifted) == {(2, -1)}
     bigger = Polytope([(2 * v[0], 2 * v[1]) for v in tri.vertices])
-    assert not same_bundle(h1, plf_from_polytope(bigger, fan))
+    assert len(differences(bigger)) > 1
 
 
 def test_sections_counts():
@@ -175,6 +180,30 @@ def test_sections_reject_non_integral_exponents():
     assert all(type(x) is int for e, _ in s.terms for x in e)
 
 
+def test_sections_reject_mixed_exponent_lengths():
+    with pytest.raises(ValueError, match=re.escape(
+            "term 1 at (1, 2, 3): 3 exponents, but an earlier term has 2")):
+        LaurentSection.from_dict({(0, 0): 2, (1, 2, 3): 1})
+
+
+def test_section_of_the_wrong_length_is_named():
+    # a 3-exponent section on the CP^2 triangle was restricted to nothing
+    # at the zero cone, its terms dropped as if off the chart lattice
+    fan, tri = cp2_setup()
+    s = LaurentSection.from_dict({(1, 2, 3): 1})
+    message = "the section's exponents have length 3, but the {} has rank 2"
+    for tau in ((), (0,)):
+        with pytest.raises(ValueError, match=re.escape(message.format("polytope"))):
+            restrict_section_to_orbit_closure(s, tau, tri, fan)
+    with pytest.raises(ValueError, match=re.escape(message.format("fan"))):
+        homogeneous_form(s, tri, fan, [1, 1, 1])
+    m = data.fibration_map()
+    with pytest.raises(ValueError, match="length 3, but the polytope has rank 5"):
+        fibred_form(s, (), (), m, data.section_polytope())
+    empty = LaurentSection.from_dict({})
+    assert len(restrict_section_to_orbit_closure(empty, (), tri, fan)[0]) == 0
+
+
 def test_pullback_identity_and_constant():
     fan, tri = cp2_setup()
     m = FanMap(LatticeMap.identity(2), fan, fan)
@@ -206,28 +235,33 @@ def test_pullback_commutes_with_fiber_projection():
     assert shifted == set(lattice_points(pulled))
 
 
-def test_restrict_to_fiber_generic_partition():
+def test_fibred_form_generic_partition():
     m = data.fibration_map()
     p = data.section_polytope()
     s = LaurentSection.generic(p)
-    fs = restrict_to_fiber(s, (), (), m, p)
-    sizes = fs.group_sizes()
+    form = fibred_form(s, (), (), m, p)
+    sizes = {f: len(terms) for f, terms in form.groups}
     assert len(sizes) == 7
     assert sum(sizes.values()) == 3365
-    assert sorted(lattice_points(fs.polytope)) == sorted(sizes)
+    proj, _ = m.project_polytope(form.restriction, (), ())
+    assert sorted(lattice_points(proj)) == sorted(sizes)
 
 
-def test_restrict_to_fiber_demonstration():
+def test_fibred_form_fiber_keys_on_every_stratum():
+    # a generic section's fiber exponents over each primitive cone are the
+    # lattice points of the projected polytope
     m = data.fibration_map()
     p = data.section_polytope()
     s = LaurentSection.generic(p)
-    fs = restrict_to_fiber(s, data.total_cone("v1' e2'"),
-                           data.base_cone("d4 r1"), m, p)
-    assert sorted(fs.group_sizes().values()) == [1, 1, 2, 3, 4]
-    zero = LaurentSection.from_dict({})
-    fs0 = restrict_to_fiber(zero, data.total_cone("v1' e2'"),
-                            data.base_cone("d4 r1"), m, p)
-    assert fs0.groups == ()
+    pairs = 0
+    for sigma, _ in m.flattening_stratification():
+        for tau in m.primitive_cones(sigma):
+            form = fibred_form(s, tau, sigma, m, p)
+            proj, _ = m.project_polytope(form.restriction, tau, sigma)
+            assert [f for f, _ in form.groups] == \
+                sorted(lattice_points(proj)), (tau, sigma)
+            pairs += 1
+    assert pairs == 60
 
 
 def test_fibred_form_demonstration():
@@ -241,6 +275,8 @@ def test_fibred_form_demonstration():
     # symbolic labels survive the regrouping untouched
     labels = {c for _, terms in form.groups for _, _, c in terms}
     assert len(labels) == 11 and all(isinstance(c, str) for c in labels)
+    zero = LaurentSection.from_dict({})
+    assert fibred_form(zero, tau, sigma, m, p).groups == ()
 
 
 def test_fibred_form_single_term():

@@ -260,12 +260,25 @@ def test_pipeline_report_deterministic():
     assert "smooth: True" in joined
 
 
+def src_env():
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_package_runs_as_a_module():
+    res = subprocess.run([sys.executable, "-m", "toricfiber", "pipeline",
+                          "report"], env=src_env(), capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout == "".join(ln + "\n" for ln in pipeline_report_lines())
+
+
 def test_failed_invariant_exits_2_under_optimised_python():
     # a doubled kernel basis leaves the member rays outside the preimage
     # of N_sigma, so the stratum check must fail, with asserts stripped by -O
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = src_env()
     code = ("import sys\n"
             "from toricfiber import cli, morphism\n"
             "kernel_basis = morphism.kernel_basis\n"

@@ -1,12 +1,17 @@
-"""README.md states the document kinds and the CLI commands; both are
-checked against the code, so a stale line fails the suite."""
+"""README.md states the document kinds, the CLI commands and the names
+its guarantees rest on; each is checked against the code, so a stale line
+fails the suite."""
 
+import builtins
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 
 import click
 
+import toricfiber
 from toricfiber.cli import cli
 from toricfiber.documents import KINDS
 
@@ -39,3 +44,23 @@ def test_readme_cli_lines_resolve_to_commands():
             cmd = cmd.commands[args.pop(0)]
         # parses the options and arguments without running the command
         cmd.make_context(" ".join(path), args)
+
+
+def test_guarantee_names_resolve():
+    # each backticked name resolves in the package, one of its modules (not
+    # __main__, which runs the CLI on import) or builtins
+    section = readme().split("\n## Guarantees\n", 1)[1].split("\n## ", 1)[0]
+    names = {n for n in re.findall(r"`([^`]+)`", section)
+             if re.fullmatch(r"[A-Za-z_][\w.]*", n)}
+    scopes = [toricfiber, builtins] + [
+        importlib.import_module(f"toricfiber.{mod.name}")
+        for mod in pkgutil.iter_modules(toricfiber.__path__)
+        if mod.name != "__main__"]
+    assert len(names) >= 20
+    for name in names:
+        head, *rest = name.split(".")
+        obj = next((getattr(s, head) for s in scopes if hasattr(s, head)), None)
+        assert obj is not None, name
+        for attr in rest:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
