@@ -140,11 +140,8 @@ class FibredForm:
 
     def chart_point_for(self, fiber_point, base_point):
         """Torus point in chart coordinates matching (fiber, base) evaluation."""
-        a = [list(r) for r in self.fiber_matrix] + \
-            [list(r) for r in self.base_matrix]
-        n = len(a)
         t = []
-        for i in range(n):
+        for i in range(len(self.fiber_matrix) + len(self.base_matrix)):
             val = Fraction(1)
             for j, u in enumerate(fiber_point):
                 val *= Fraction(u) ** self.fiber_matrix[j][i]

@@ -258,12 +258,9 @@ def morphism_fibers(map_path, source_path, target_path, sigma, fmt):
     note = fiber_pattern_note([c.label for c in rep.components])
     if note:
         em.add("pattern", note)
-    for subset, star in sorted(rep.intersections.items()):
+    for subset, dim in sorted(rep.intersections.items()):
         key = " & ".join(data.cone_name(snames, t) for t in subset)
-        if star == EMPTY:
-            em.add("intersection " + key, "EMPTY")
-        else:
-            em.add("intersection " + key, f"dim={star.fan.rank}")
+        em.add("intersection " + key, dim if dim == EMPTY else f"dim={dim}")
     em.flush()
 
 

@@ -29,7 +29,11 @@ section families are the term table that the library evaluated before it
 computed them from their classical formulas.  Two fibred forms of one
 section under splittings xi1 and xi2 are compared term by term against
 the transition law, the character of (xi2 - xi1) transposed, a check
-that the library carried before it kept only the forms.
+that the library carried before it kept only the forms.  A primitive
+cone is tested against the fibration criterion by a double description
+of its image, and each intersection of primitive cones is measured by
+the rank of its relative star, the way the library did before it read
+both off the stratum.
 """
 
 import itertools
@@ -37,13 +41,14 @@ from fractions import Fraction
 from math import lcm
 
 from toricfiber.bundles import LaurentSection
-from toricfiber.fans import fan_from_cones, zero_fan
+from toricfiber.fans import Cone, fan_from_cones, zero_fan
 from toricfiber.geometry import dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   is_zero, kernel_basis, lin_comb, mat_mul,
                                   mat_transpose, mat_vec, primitivize,
                                   quotient_lattice, saturate_columns,
                                   smith_normal_form, vadd, vdot, vsub)
+from toricfiber.morphism import EMPTY
 from toricfiber.polytopes import (Polytope, face_polytope,
                                   orthogonal_complement_basis,
                                   restriction_polytope)
@@ -534,6 +539,44 @@ def quotient_star(f, tau_idx):
     if not any(cones):
         return zero_fan(quot.rank)
     return fan_from_cones(quot.rank, cones)
+
+
+# -- the fibration criterion and fiber intersections, the way the library
+#    took them before it read both off the stratum
+
+def image_cone_violations(m):
+    """(sigma, tau) for each primitive cone tau over an image cone sigma
+    whose image is not sigma: a ray maps to zero, or the double
+    description of the image differs from sigma in dimension or rays."""
+    fan = m.image_fan()
+    violations = []
+    for sigma_idx in fan.all_cone_indices:
+        sigma_cone = fan.cone(sigma_idx)
+        for tau in m.primitive_cones(sigma_idx):
+            images = [m._phi_img.apply(m.source.rays[i]) for i in tau]
+            if any(is_zero(w) for w in images):
+                violations.append((sigma_idx, tau))
+                continue
+            tau_dim = m.source.cone(tau).dim
+            image_cone = Cone.make(images, fan.rank)
+            if tau_dim != sigma_cone.dim or image_cone.dim != tau_dim or \
+                    set(image_cone.generators) != set(sigma_cone.generators):
+                violations.append((sigma_idx, tau))
+    return tuple(violations)
+
+
+def intersection_star_ranks(m, sigma_idx):
+    """Each set of two or more primitive cones over sigma -> the rank of
+    the relative star of the cone their union spans, or EMPTY when the
+    union spans no cone of the source fan."""
+    prim = m.primitive_cones(sigma_idx)
+    out = {}
+    for size in range(2, len(prim) + 1):
+        for subset in itertools.combinations(prim, size):
+            union = tuple(sorted(set(itertools.chain.from_iterable(subset))))
+            out[subset] = m.relative_star(union, sigma_idx).fan.rank \
+                if m.source.has_cone(union) else EMPTY
+    return out
 
 
 # -- surface and planar-set equivalence by search, the way the library

@@ -1,9 +1,15 @@
 """Hypothesis strategies shared by several test modules."""
 
-from hypothesis import strategies as st
+import itertools
+from functools import lru_cache
 
-from toricfiber.intlinalg import mat_vec, smith_normal_form, vadd
+from hypothesis import assume, strategies as st
+
+from toricfiber.fans import Fan, star_subdivide
+from toricfiber.intlinalg import LatticeMap, mat_vec, smith_normal_form, vadd
+from toricfiber.morphism import FanMap, is_map_of_fans
 from toricfiber.polytopes import Polytope
+from toricfiber.surfaces import CATALOG_RAYS, catalog_fan
 
 
 @st.composite
@@ -25,3 +31,52 @@ def polytopes(draw):
     pts = draw(st.lists(st.tuples(*[unit] * k), min_size=n, max_size=n,
                         unique=True))
     return Polytope([vadd(shift, mat_vec(embed, q)) for q in pts])
+
+
+_P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+          list(itertools.combinations(range(4), 3)))
+_BLOWN_UP_P3 = star_subdivide(_P3, (1, 1, 1))
+SMALL_FANS = (
+    *(catalog_fan(label) for label in CATALOG_RAYS),
+    Fan(1, [(1,), (-1,)], [[0], [1]]),
+    _P3,
+    _BLOWN_UP_P3,
+    star_subdivide(_BLOWN_UP_P3, (2, 1, 1)),
+    star_subdivide(_BLOWN_UP_P3, (1, 1, 0)),
+    star_subdivide(star_subdivide(_P3, (1, 1, 0)), (0, -1, -1)),
+)
+
+
+@lru_cache(maxsize=1)
+def _ray_column_maps():
+    """(phi, source, target) for every map of fans among SMALL_FANS whose
+    columns are target rays with entries in [-2,2], or zero."""
+    out = []
+    for source, target in itertools.product(SMALL_FANS, repeat=2):
+        columns = [r for r in target.rays if max(map(abs, r)) <= 2]
+        columns.append((0,) * target.rank)
+        for cols in itertools.product(columns, repeat=source.rank):
+            phi = LatticeMap.from_columns(cols)
+            if is_map_of_fans(phi, source, target):
+                out.append((phi, source, target))
+    return out
+
+
+@st.composite
+def fan_maps(draw):
+    """Maps of fans between the catalog surfaces, P^1, P^3 and star
+    subdivisions of P^3, with matrix entries in [-2,2].  Half draw the
+    entries; half take each column to a target ray or zero, which reaches
+    the refinements, projections and bundle maps (P^3 blown up at a point
+    over P^2) that drawn entries seldom hit."""
+    if draw(st.booleans()):
+        phi, source, target = draw(st.sampled_from(_ray_column_maps()))
+    else:
+        source = draw(st.sampled_from(SMALL_FANS))
+        target = draw(st.sampled_from(SMALL_FANS))
+        n, m = source.rank, target.rank
+        phi = LatticeMap.from_rows(draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+        assume(is_map_of_fans(phi, source, target))
+    return FanMap(phi, source, target)

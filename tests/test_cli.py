@@ -37,6 +37,15 @@ def test_morphism_commands():
               "--format", "structured").output
     assert "index: 1" in out
     assert "X(5)" in out and "WCP2(1,1,3)" in out and "F2" in out
+    lines = out.splitlines()
+    for line in ("intersection e1' & e2': dim=1",
+                 "intersection e1' & e3': dim=1",
+                 "intersection e2' & e3': dim=1",
+                 "intersection e1' & e2' & e3': dim=0"):
+        assert line in lines
+    out = run("morphism", "fibers", "--sigma", "r2",
+              "--format", "structured").output
+    assert "intersection c1' & c2': dim=1" in out.splitlines()
     out = run("morphism", "fibration", "--format", "structured").output
     assert "fibration: True" in out
     out = run("morphism", "stratify", "--format", "structured").output

@@ -1,13 +1,18 @@
-import pytest
+import itertools
 
-from oracles import member_index
-from toricfiber import data, morphism
+import pytest
+from hypothesis import given, settings
+
+from oracles import (image_cone_violations, intersection_star_ranks,
+                     member_index)
+from strategies import fan_maps
+from toricfiber import data, fans, geometry, morphism
 from toricfiber.fans import Fan, fan_equal, zero_fan
 from toricfiber.intlinalg import LatticeMap, cokernel_index
 from toricfiber.morphism import EMPTY, FanMap, is_map_of_fans
 from toricfiber.polytopes import (Polytope, lattice_points, normal_fan,
                                   restriction_polytope)
-from toricfiber.surfaces import catalog_fan
+from toricfiber.surfaces import catalog_fan, complete_fan_from_rays
 
 
 def line_fan():
@@ -16,6 +21,10 @@ def line_fan():
 
 def cp2_fan():
     return Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
+
+
+def union(cones):
+    return tuple(sorted(set(itertools.chain.from_iterable(cones))))
 
 
 def test_is_map_of_fans_examples():
@@ -170,14 +179,12 @@ def test_fiber_report_r1():
     assert [c.label for c in rep.components] == ["X(5)", "WCP2(1,1,3)", "F2"]
     assert all(c.dim == 2 for c in rep.components)
     inter = rep.intersections
-    pair_dims = [star.fan.rank for subset, star in inter.items()
-                 if len(subset) == 2]
-    assert pair_dims == [1, 1, 1]
-    assert all(star.fan.is_complete() for subset, star in inter.items()
-               if len(subset) == 2)
-    (triple_star,) = [star for subset, star in inter.items()
-                      if len(subset) == 3]
-    assert triple_star.fan.rank == 0
+    pairs = [subset for subset in inter if len(subset) == 2]
+    assert [inter[subset] for subset in pairs] == [1, 1, 1]
+    assert all(m.relative_star(union(subset), rep.sigma).fan.is_complete()
+               for subset in pairs)
+    (triple_dim,) = [dim for subset, dim in inter.items() if len(subset) == 3]
+    assert triple_dim == 0
 
 
 def test_fiber_report_single_component():
@@ -221,6 +228,59 @@ def test_is_fibration_blowup_false():
                   for sigma, rep in m.flattening_stratification()
                   for c in rep.components)
     assert dims_ok == cert.is_fibration
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan_maps())
+def test_fiber_reads_agree_with_stars_and_image_cones(m):
+    # intersection dims against the ranks of the old relative stars, and
+    # the fibration test against a double description of each image
+    for sigma in m.image_fan().all_cone_indices:
+        if m.sigma_prime_of(sigma):
+            assert m.fiber_report(sigma).intersections == \
+                intersection_star_ranks(m, sigma)
+    if m.is_surjective_real():
+        assert m.is_fibration().violations == image_cone_violations(m)
+
+
+def test_fiber_reads_agree_on_the_bundled_map_and_a_fan_of_many_fibers():
+    # rays (1, j), |j| <= 2, lie over the ray of P^1 under (x, y) -> x:
+    # five primitive cones, whose pairs meet only when adjacent
+    many = complete_fan_from_rays([(1, j) for j in range(-2, 3)] +
+                                  [(0, 1), (-1, 0), (0, -1)])
+    line = FanMap(LatticeMap.from_rows([[1, 0]]), many, line_fan())
+    inter = line.fiber_report((0,)).intersections
+    assert len(inter) == 26
+    assert sum(dim != EMPTY for dim in inter.values()) == 4
+    for m in (data.fibration_map(), line):
+        for sigma, rep in m.flattening_stratification():
+            assert rep.intersections == intersection_star_ranks(m, sigma)
+        assert m.is_fibration().violations == image_cone_violations(m)
+
+
+def test_fiber_reads_build_no_intersection_star_or_image_cone(monkeypatch):
+    # one relative star per fiber component, and no double description
+    # in the fibration test; the bundled map's strata hold 60 components
+    bundled = data.fibration_map()
+    m = FanMap(bundled.phi, bundled.source, bundled.target)
+    calls = {"relative_star": 0, "dual_description": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(FanMap, "relative_star",
+                        counted("relative_star", FanMap.relative_star))
+    table = m.flattening_stratification()
+    assert calls["relative_star"] == \
+        sum(len(rep.components) for _, rep in table) == 60
+    dd = counted("dual_description", geometry.dual_description)
+    for module in (geometry, fans, morphism):
+        monkeypatch.setattr(module, "dual_description", dd)
+    assert m.is_fibration().is_fibration
+    assert calls["dual_description"] == 0
 
 
 def test_is_fibration_requires_surjective():
@@ -352,7 +412,8 @@ def test_stars_share_one_fan_per_distinct_star():
     stars = []
     for _, rep in m.flattening_stratification():
         stars += [c.star for c in rep.components]
-        stars += [s for s in rep.intersections.values() if s != EMPTY]
+        stars += [m.relative_star(union(subset), rep.sigma)
+                  for subset, dim in rep.intersections.items() if dim != EMPTY]
     for s in stars:
         fresh = FanMap(m.phi, m.source, m.target).relative_star(
             s.tau, s.sigma)
