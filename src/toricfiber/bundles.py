@@ -81,11 +81,10 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
     """Keep the terms on the face of P cut out by tau and re-express them
     in the orthogonal-complement chart.
 
-    A term e is dropped up front unless <e, r> = <origin, r> for every
-    ray r of tau: the chart basis is a saturated basis of tau's
-    orthogonal complement, so an integral term is on the chart lattice
-    exactly when it pairs with tau like the origin.  The terms that pass
-    are still mapped through the chart and tested against P.
+    A term e is kept when <e, r> = <origin, r> for every ray r of tau and
+    P contains e.  Only kept terms are charted: a kept term is an
+    integral vector of tau's orthogonal complement away from the origin,
+    and the chart basis is a saturated basis of that complement.
 
     Returns (restricted section, RestrictedPolytope).
     """
@@ -93,16 +92,8 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
     restriction = restriction_polytope(p, tau_idx, fan)
     chart = restriction.chart
     pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
-    kept = {}
-    for e, c in s.terms:
-        if any(vdot(r, e) != h for r, h in pins):
-            continue
-        try:
-            y = chart.to_chart(e)
-        except ValueError:
-            continue
-        if restriction.contains(y):
-            kept[y] = c
+    kept = {chart.to_chart(e): c for e, c in s.terms
+            if all(vdot(r, e) == h for r, h in pins) and p.contains(e)}
     return LaurentSection.from_dict(kept), restriction
 
 

@@ -201,7 +201,10 @@ def fan_subdivide(input_path, rays):
     for expr in rays:
         f = star_subdivide(f, _numbers(expr, "--ray"))
         if len(f.rays) > len(names):
-            names.append(f"s{len(names)}")
+            k = len(names)
+            while f"s{k}" in names:
+                k += 1
+            names.append(f"s{k}")
     click.echo(serialize(fan_document(f, names)), nl=False)
 
 
@@ -601,8 +604,7 @@ def pipeline_report_lines() -> list[str]:
                 continue
             r = restriction_polytope(p, tau, m.source)
             pts = lattice_points(r.polytope)
-            hull_ids = sorted(vno[r.chart.from_chart(v)]
-                              for v in r.polytope.vertices)
+            hull_ids = sorted(vno[v] for v in p.face_vertices(r.tau_rays))
             proj, _ = m.project_polytope(r, tau, sigma)
             out.append(f"{data.cone_name(snames, tau):16s} "
                        f"hull={','.join(str(i) for i in hull_ids):24s} "

@@ -22,9 +22,9 @@ from functools import cached_property
 from math import prod
 
 from .geometry import dual_description, intersect_cones
-from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_rank,
-                        mat_vec, primitivize, scaled_inverse,
-                        smith_normal_form, solve_unimodular, vdot)
+from .intlinalg import (Vec, is_zero, is_primitive, lin_comb, mat_det,
+                        mat_mul, mat_rank, mat_vec, primitivize,
+                        scaled_inverse, smith_normal_form, vdot)
 
 
 @dataclass(frozen=True)
@@ -453,7 +453,10 @@ def fan_isomorphic(f1: Fan, f2: Fan):
     """GL(rank, Z) equivalence for fans with simplicial full-dim cones.
 
     Returns the matrix of a lattice isomorphism carrying f1 onto f2,
-    or None.  Search is anchored on one maximal cone of f1.
+    or None.  Search is anchored on one maximal cone A of f1: for each
+    ordering T of the generators of a target maximal cone, U A = T gives
+    U = T (d A^-1) / d from one `scaled_inverse`, and det U = det T /
+    det A, so a target with |det T| != |det A| is skipped.
     """
     if f1.rank != f2.rank or len(f1.rays) != len(f2.rays) or \
             len(f1.maximal_cones) != len(f2.maximal_cones):
@@ -462,20 +465,24 @@ def fan_isomorphic(f1: Fan, f2: Fan):
     if not f1.maximal_cones:                # two zero fans of one rank
         return [[int(i == j) for j in range(n)] for i in range(n)]
     anchor = f1.maximal_cones[0]
-    a_gens = [f1.rays[i] for i in anchor]
-    if len(a_gens) != n:
+    if len(anchor) != n:
         return None
-    a_mat = [[g[i] for g in a_gens] for i in range(n)]
+    inverse = scaled_inverse([[f1.rays[j][i] for j in anchor]
+                              for i in range(n)])
+    if inverse is None:
+        return None
+    d, adj = inverse
     tops2 = {frozenset(f2.rays[i] for i in c) for c in f2.maximal_cones}
     for target in f2.maximal_cones:
         t_gens = [f2.rays[i] for i in target]
-        if len(t_gens) != n:
+        if len(t_gens) != n or abs(mat_det(t_gens)) != abs(d):
             continue
         for perm in itertools.permutations(t_gens):
             t_mat = [[g[i] for g in perm] for i in range(n)]
-            u = solve_unimodular(a_mat, t_mat)
-            if u is None:
+            scaled = mat_mul(t_mat, adj)
+            if any(x % d for row in scaled for x in row):
                 continue
+            u = [[x // d for x in row] for row in scaled]
             image = [mat_vec(u, r) for r in f1.rays]
             if set(image) != set(f2.rays):
                 continue

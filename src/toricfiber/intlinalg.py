@@ -226,27 +226,6 @@ def solve_rational(a, b):
     return x
 
 
-def solve_unimodular(a, t):
-    """The integer U with U a = t and |det U| = 1, or None.
-
-    Through the Smith form a = P S Q: U P S = t Q^-1, so column j of
-    t Q^-1 is d_j times column j of W = U P and vanishes past the rank,
-    and U = W P^-1.  U is unique when `a` has full row rank; below full
-    row rank the answer is None.
-    """
-    snf = smith_normal_form(a)
-    n = len(a)
-    if snf.rank < n:
-        return None
-    w = []
-    for row in mat_mul(t, snf.Vinv):
-        if any(row[n:]) or any(x % d for x, d in zip(row, snf.diagonal)):
-            return None
-        w.append([x // d for x, d in zip(row, snf.diagonal)])
-    u = mat_mul(w, snf.Uinv)
-    return u if abs(mat_det(u)) == 1 else None
-
-
 @dataclass(frozen=True)
 class LatticeMap:
     """Homomorphism between lattices, acting on column vectors.  The source

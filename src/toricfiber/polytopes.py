@@ -224,16 +224,12 @@ class SubspaceChart:
 class RestrictedPolytope:
     """The face of `ambient` cut out by the rays of tau, in the chart of
     tau's orthogonal complement at a vertex of that face: the chart points
-    that `ambient` contains.  Membership reads the ambient inequalities;
-    the vertices, those of `ambient` on the face, are charted on first use
-    of `polytope`."""
+    that `ambient` contains.  The vertices, those of `ambient` on the face,
+    are charted on first use of `polytope`."""
 
     ambient: Polytope = field(repr=False)
     chart: SubspaceChart
     tau_rays: tuple[Vec, ...] = field(repr=False)
-
-    def contains(self, y) -> bool:
-        return self.ambient.contains(self.chart.from_chart(y))
 
     @cached_property
     def polytope(self) -> Polytope:

@@ -143,7 +143,7 @@ def chart_first_restriction(s, tau_idx, p, fan):
             y = restriction.chart.to_chart(e)
         except ValueError:
             continue
-        if restriction.contains(y):
+        if restriction.ambient.contains(restriction.chart.from_chart(y)):
             kept[y] = c
     return LaurentSection.from_dict(kept)
 

@@ -112,6 +112,17 @@ def test_input_document_flow(tmp_path):
     assert "cones_total: 33" in out
 
 
+def test_subdivided_fan_reads_back(tmp_path):
+    # the new ray used to be named s3 beside a ray already named s3
+    path = tmp_path / "p2.fan"
+    path.write_text("toricfiber fan v1\nrank 2\nray x 1 0\nray y 0 1\n"
+                    "ray s3 -1 -1\ncone x y\ncone y s3\ncone x s3\n")
+    doc = run("fan", "subdivide", "--input", str(path), "--ray", "1 1").output
+    assert "ray s4 1 1" in doc
+    path.write_text(doc)
+    assert run("fan", "check", "--input", str(path)).exit_code == 0
+
+
 def stratify_structured(tmp_path, **texts):
     """`morphism stratify` output on the map, source and target texts."""
     args = ["morphism", "stratify", "--format", "structured"]

@@ -6,15 +6,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (cone_extreme_rays, face_table, facet_closure,
                      quotient_star, scan_locate_relint)
+from strategies import SMALL_FANS
 from toricfiber import data, fans
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_from_cones,
                              fan_isomorphic, singular_locus_cones,
                              star_subdivide, zero_fan)
 from toricfiber.geometry import dual_description
-from toricfiber.intlinalg import (is_zero, lin_comb, mat_rank, mat_vec,
-                                  primitivize)
+from toricfiber.intlinalg import (is_zero, lin_comb, mat_det, mat_rank,
+                                  mat_vec, primitivize)
 from toricfiber.morphism import star
 from toricfiber.polytopes import Polytope, normal_fan
+from toricfiber.surfaces import catalog_fan
 
 
 def test_base_fan_counts():
@@ -240,6 +242,38 @@ def test_zero_fans_are_isomorphic_by_the_identity():
     assert fan_isomorphic(zero_fan(2), line) is None
     assert fan_isomorphic(line, zero_fan(2)) is None
     assert fan_isomorphic(zero_fan(0), zero_fan(2)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_FANS), st.data())
+def test_fan_isomorphic_finds_a_map_onto_a_lattice_image(f, picks):
+    n = f.rank
+    # a unimodular g from elementary row operations
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(picks.draw(st.integers(0, 6))):
+        i, j = picks.draw(st.integers(0, n - 1)), picks.draw(st.integers(0, n - 1))
+        if i != j:
+            k = picks.draw(st.integers(-3, 3))
+            g[i] = [x + k * y for x, y in zip(g[i], g[j])]
+    if picks.draw(st.booleans()):
+        g[0] = [-x for x in g[0]]
+    order = picks.draw(st.permutations(range(len(f.rays))))
+    where = {old: new for new, old in enumerate(order)}
+    image = Fan(n, [mat_vec(g, f.rays[i]) for i in order],
+                [[where[i] for i in c] for c in f.maximal_cones])
+    u = fan_isomorphic(f, image)
+    assert u is not None and abs(mat_det(u)) == 1
+    assert fan_equal(Fan(n, [mat_vec(u, r) for r in f.rays], f.maximal_cones),
+                     image)
+
+
+def test_fan_isomorphic_rejects_fans_of_the_same_counts():
+    for a, b in (("F2", "CP1xCP1"), ("CP2", "WCP2(1,1,3)")):
+        f1, f2 = catalog_fan(a), catalog_fan(b)
+        assert (len(f1.rays), len(f1.maximal_cones)) \
+            == (len(f2.rays), len(f2.maximal_cones))
+        assert fan_isomorphic(f1, f2) is None
+        assert fan_isomorphic(f2, f1) is None
 
 
 def test_locate_relint_matches_scan_of_every_cone():

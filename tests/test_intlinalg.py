@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from oracles import (column_lattice_hnf, fraction_solve_unimodular,
-                     fraction_sublattice_coords, lattice_intersection,
-                     project_with_torsion, sublattice_index)
+from oracles import (column_lattice_hnf, fraction_sublattice_coords,
+                     lattice_intersection, project_with_torsion,
+                     sublattice_index)
 from toricfiber import data, intlinalg
 from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
                                   cokernel_index, dual_map,
@@ -20,7 +20,7 @@ from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
                                   mat_inverse_unimodular, mat_mul, mat_rank,
                                   mat_vec,
                                   quotient_lattice, section_of_surjection,
-                                  smith_normal_form, solve_unimodular, vdot)
+                                  smith_normal_form, vdot)
 from toricfiber.morphism import FanMap
 from toricfiber.polytopes import SubspaceChart
 from toricfiber.surfaces import CATALOG_RAYS, catalog_fan, identify_surface
@@ -383,38 +383,6 @@ def test_sublattice_coords_match_the_fraction_solve(picks):
         assert in_sublattice_coords(basis, x) == expected
         assert coords(x) == expected
     assert coords(on) == c
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_solve_unimodular_matches_the_fraction_solve(picks):
-    a = picks.draw(lattice_matrices())
-    n = len(a)
-    # a unimodular u0 from elementary row operations
-    u0 = identity(n)
-    for _ in range(picks.draw(st.integers(0, 6))):
-        i, j = picks.draw(st.integers(0, n - 1)), picks.draw(st.integers(0, n - 1))
-        if i != j:
-            k = picks.draw(st.integers(-3, 3))
-            u0[i] = [x + k * y for x, y in zip(u0[i], u0[j])]
-    if picks.draw(st.booleans()):
-        u0[0] = [-x for x in u0[0]]
-    cols = len(a[0])
-    other = [[picks.draw(st.integers(-5, 5)) for _ in range(cols)]
-             for _ in range(n)]
-    targets = [mat_mul(u0, a), other,
-               mat_mul([[2 * x for x in r] for r in u0], a)]
-    if cols > n:
-        # u0 a moved off the row space of a only past column n of the
-        # Smith frame: no solution
-        off = [[0] * n + [1] * (cols - n)] * n
-        targets.append([[x + y for x, y in zip(r, s)] for r, s in
-                        zip(mat_mul(u0, a), mat_mul(off, smith_normal_form(a).V))])
-    for t in targets:
-        got = solve_unimodular(a, t)
-        assert got == fraction_solve_unimodular(a, t)
-        if got is not None:
-            assert mat_mul(got, a) == t and abs(mat_det(got)) == 1
 
 
 class FractionBuilt(Exception):
