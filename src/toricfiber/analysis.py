@@ -10,12 +10,11 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .fans import Cone, Fan, star_subdivide
 from .intlinalg import LatticeMap, Vec, vdot
 from .morphism import FanMap
-from .polytopes import Polytope, is_reflexive, lattice_points
+from .polytopes import Polytope, is_reflexive
 from .surfaces import order_counterclockwise
 
 
@@ -194,11 +193,12 @@ def adjunction_genus(fan: Fan, curve_coeffs) -> Fraction:
 
 def moduli_dimension(p: Polytope) -> int:
     """Polynomial moduli of anticanonical hypersurfaces of a reflexive
-    polytope: points minus (rank+1) minus facet-interior points."""
+    polytope: points minus (rank+1) minus facet-interior points, all read
+    off the polytope's one census."""
     if not is_reflexive(p):
         raise ValueError("moduli formula applies to reflexive polytopes")
     r = p.ambient_rank
-    total = len(lattice_points(p))
+    total = sum(p.census.values())
     interior_sum = facet_interior_sum(p)
     return total - (r + 1) - interior_sum
 
@@ -209,14 +209,12 @@ def facet_interior_sum(p: Polytope) -> int:
     A point lies in the relative interior of facet F exactly when F is its
     only tight facet: the smallest face holding it is the intersection of
     its tight facets, a proper face of F once another facet is tight too.
-    The facets of a segment are points, which have no interior points.
+    So the sum counts the census keys with one bit.  The facets of a
+    segment are points, which have no interior points.
     """
     if p.dim <= 1:
         return 0
-    # tight facets per point; map(mul) is vdot without its length check
-    tight = [[sum(map(mul, n, pt)) + c for n, c in p.facets].count(0)
-             for pt in p.lattice_points()]
-    return tight.count(1)
+    return sum(k for m, k in p.census.items() if m.bit_count() == 1)
 
 
 @dataclass(frozen=True)

@@ -603,12 +603,12 @@ def pipeline_report_lines() -> list[str]:
             if not tau:
                 continue
             r = restriction_polytope(p, tau, m.source)
-            pts = lattice_points(r.polytope)
             hull_ids = sorted(vno[v] for v in p.face_vertices(r.tau_rays))
+            count = p.face_point_count(r.tau_rays)
             proj, _ = m.project_polytope(r, tau, sigma)
             out.append(f"{data.cone_name(snames, tau):16s} "
                        f"hull={','.join(str(i) for i in hull_ids):24s} "
-                       f"points={len(pts):5d} fiber_points="
+                       f"points={count:5d} fiber_points="
                        f"{len(lattice_points(proj))} label={comp.label}")
     out.append("")
     out.append("== moduli ==")

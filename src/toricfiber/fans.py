@@ -188,7 +188,7 @@ class Cone:
 class Fan:
     """Face-closed collection of cones sharing a primitive ray table."""
 
-    def __init__(self, rank: int, rays, maximal_cones):
+    def __init__(self, rank: int, rays, maximal_cones, *, _parent_cones=None):
         self.rank = int(rank)
         if self.rank < 0:
             raise ValueError(f"fan rank {self.rank} is negative")
@@ -210,7 +210,7 @@ class Fan:
                 raise ValueError("cone refers to a missing ray")
             maximal.append(idx)
         self._cones: dict[tuple[int, ...], Cone] = {}
-        self._close_faces(sorted(set(maximal)))
+        self._close_faces(sorted(set(maximal)), _parent_cones or {})
         self._validate_cones()
         self._complete = self._certificate_failure() == 0
         if not self._complete:
@@ -221,22 +221,25 @@ class Fan:
     def _cone_from_indices(self, idx) -> Cone:
         return Cone(tuple(self.rays[i] for i in idx), self.rank)
 
-    def _close_faces(self, listed):
+    def _close_faces(self, listed, parent):
         """Close the listed cones under faces; the maximal cones are the
         listed ones, other than the zero cone, that are not a proper face of
         another.  Larger cones go first, so a listed face of one of them is
-        already closed."""
+        already closed.  An index set that `parent` holds takes its cone
+        from there: a fan whose ray table extends the parent's at the end
+        names the same generators by it."""
         self._cones[()] = Cone((), self.rank)
         proper = set()
         for top in sorted(listed, key=len, reverse=True):
             if top in proper:
                 continue
-            cone = self._cones.setdefault(top, self._cone_from_indices(top))
+            cone = self._cones.setdefault(
+                top, parent.get(top) or self._cone_from_indices(top))
             for sub in cone.face_generator_sets()[:-1]:
                 f = tuple(top[i] for i in sub)
                 proper.add(f)
                 if f not in self._cones:
-                    self._cones[f] = cone.face(sub)
+                    self._cones[f] = parent.get(f) or cone.face(sub)
         self.maximal_cones = tuple(c for c in listed if c and c not in proper)
 
     def _validate_cones(self):
@@ -423,7 +426,9 @@ def star_subdivide(f: Fan, r: Vec) -> Fan:
         for drop in support:
             kept = tuple(sorted([i for i in idx if i != idx[drop]] + [r_idx]))
             new_maximal.append(kept)
-    return Fan(f.rank, rays, new_maximal)
+    # the ray table only grows at the end, so every index set the
+    # subdivision keeps names the parent's generators
+    return Fan(f.rank, rays, new_maximal, _parent_cones=f._cones)
 
 
 def singular_locus_cones(f: Fan) -> list[tuple[int, ...]]:
@@ -450,13 +455,14 @@ def fan_equal(f1: Fan, f2: Fan) -> bool:
 
 
 def fan_isomorphic(f1: Fan, f2: Fan):
-    """GL(rank, Z) equivalence for fans with simplicial full-dim cones.
+    """GL(rank, Z) equivalence for fans with a simplicial full-dim cone.
 
     Returns the matrix of a lattice isomorphism carrying f1 onto f2,
-    or None.  Search is anchored on one maximal cone A of f1: for each
-    ordering T of the generators of a target maximal cone, U A = T gives
-    U = T (d A^-1) / d from one `scaled_inverse`, and det U = det T /
-    det A, so a target with |det T| != |det A| is skipped.
+    or None.  Search is anchored on the first maximal cone A of f1 that is
+    simplicial and full-dimensional, and raises ValueError when f1 has
+    none: for each ordering T of the generators of a target maximal cone,
+    U A = T gives U = T (d A^-1) / d from one `scaled_inverse`, and
+    det U = det T / det A, so a target with |det T| != |det A| is skipped.
     """
     if f1.rank != f2.rank or len(f1.rays) != len(f2.rays) or \
             len(f1.maximal_cones) != len(f2.maximal_cones):
@@ -464,14 +470,14 @@ def fan_isomorphic(f1: Fan, f2: Fan):
     n = f1.rank
     if not f1.maximal_cones:                # two zero fans of one rank
         return [[int(i == j) for j in range(n)] for i in range(n)]
-    anchor = f1.maximal_cones[0]
-    if len(anchor) != n:
-        return None
-    inverse = scaled_inverse([[f1.rays[j][i] for j in anchor]
-                              for i in range(n)])
-    if inverse is None:
-        return None
-    d, adj = inverse
+    # n generators of a cone of dimension n are independent
+    anchor = next((idx for idx in f1.maximal_cones
+                   if len(idx) == n and f1.cone(idx).dim == n), None)
+    if anchor is None:
+        raise ValueError("fan isomorphism needs a simplicial "
+                         "full-dimensional maximal cone to anchor on")
+    d, adj = scaled_inverse([[f1.rays[j][i] for j in anchor]
+                             for i in range(n)])
     tops2 = {frozenset(f2.rays[i] for i in c) for c in f2.maximal_cones}
     for target in f2.maximal_cones:
         t_gens = [f2.rays[i] for i in target]

@@ -33,15 +33,59 @@ EMPTY = "EMPTY"
 
 
 def is_map_of_fans(phi: LatticeMap, source: Fan, target: Fan) -> bool:
-    """Does every source cone map into some target cone?"""
+    """Does every source cone map into some target cone?
+
+    A cone maps into a target cone C exactly when the carrier of each of
+    its rays' images, the target cone whose relative interior holds it,
+    is a face of C, which in a fan means its rays are among C's.  So each
+    ray is located once, and a maximal source cone passes when the union
+    of its rays' carriers lies in the ray set of one maximal target cone.
+    """
     if phi.source_rank != source.rank or phi.target_rank != target.rank:
         raise ValueError("lattice ranks do not match the map")
+    carriers = _ray_carriers(phi, source, target)
+    if None in carriers.values():
+        return False
+    tops = [_index_mask(t) for t in target.maximal_cones or [()]]
     for idx in source.maximal_cones or [()]:
-        images = [phi.apply(source.rays[i]) for i in idx]
-        if not any(all(target.cone(t).contains(w) for w in images)
-                   for t in (target.maximal_cones or [()])):
+        union = 0
+        for i in idx:
+            union |= carriers[i]
+        if not any(union & ~top == 0 for top in tops):
             return False
     return True
+
+
+def _index_mask(indices) -> int:
+    """A set of indices as one int bitmask."""
+    return sum(1 << i for i in indices)
+
+
+def _ray_carriers(phi: LatticeMap, source: Fan, fan: Fan) -> dict:
+    """Each ray of a source cone -> the cone of the fan whose relative
+    interior holds its image, as a bitmask over the fan's rays, or None
+    when the image is outside the support: one location per ray."""
+    out = {}
+    for idx in source.maximal_cones:
+        for i in idx:
+            if i not in out:
+                carrier = fan.locate_relint(phi.apply(source.rays[i]))
+                out[i] = None if carrier is None else _index_mask(carrier)
+    return out
+
+
+def _smallest_face(tops, union) -> tuple[int, ...] | None:
+    """The smallest face holding the rays in `union` of the first maximal
+    cone (index set, ray mask, facet ray masks) whose rays hold them, or
+    None when no maximal cone does."""
+    for top, whole, facets in tops:
+        if union & ~whole == 0:
+            face = whole
+            for m in facets:
+                if union & ~m == 0:
+                    face &= m
+            return tuple(i for i in top if face >> i & 1)
+    return None
 
 
 @dataclass(frozen=True)
@@ -194,13 +238,39 @@ class FanMap:
 
     @cached_property
     def _sigma_of(self) -> dict:
-        """Source cone -> the image-fan cone whose relint receives its relint."""
-        out = {}
+        """Source cone -> the image-fan cone whose relint receives its relint.
+
+        The image of a source cone lies in a maximal image cone C holding
+        the carriers of its rays' images (see `is_map_of_fans`), each ray
+        located once.  The relint of the image, spanned by those images,
+        lies in the relint of the smallest face of C holding them all: the
+        AND of the masks of C's facets that hold their union, or C when
+        none does.  In a fan that face is the same for every such C.
+        """
         fan = self.image_fan()
+        tops = []
+        for top in fan.maximal_cones or [()]:
+            facets = [_index_mask(i for k, i in enumerate(top) if m >> k & 1)
+                      for m in fan.cone(top)._facet_masks]
+            tops.append((top, _index_mask(top), facets))
+        carriers = _ray_carriers(self._phi_img, self.source, fan)
+        outside = [i for i, c in carriers.items() if c is None]
+        if outside:
+            raise InvariantError(
+                f"source rays {outside} map outside the image fan")
+        faces = {}
+        out = {}
         for idx in self.source.all_cone_indices:
-            w = self._phi_img.apply(self.source.cone(idx).relint_point()) \
-                if idx else (0,) * self._phi_img.target_rank
-            out[idx] = fan.locate_relint(w)
+            union = 0
+            for i in idx:
+                union |= carriers[i]
+            if union not in faces:
+                faces[union] = _smallest_face(tops, union)
+                if faces[union] is None:
+                    raise InvariantError(
+                        f"image of source cone {idx} lies in no maximal "
+                        f"cone of the image fan")
+            out[idx] = faces[union]
         return out
 
     def sigma_of(self, sigma_prime_idx):
@@ -457,11 +527,13 @@ class FanMap:
         """Image of a restriction polytope in the fiber quotient coordinates.
 
         Returns (polytope, relative_star); the polytope lives in the
-        coordinates dual to the relative star's quotient basis.
+        coordinates dual to the relative star's quotient basis and is the
+        hull of the images of the restriction's charted vertices, so the
+        restriction's own hull is never built.
         """
         star = self.relative_star(tau_idx, sigma_idx)
         matrix = star.fiber_matrix(restriction.chart)
-        verts = [mat_vec(matrix, v) for v in restriction.polytope.vertices]
+        verts = [mat_vec(matrix, v) for v in restriction.vertices]
         return Polytope(verts), star
 
 

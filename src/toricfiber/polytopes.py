@@ -8,6 +8,7 @@ rays are the vertices, and its facets and span equations are those of P
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,7 @@ class Polytope:
         self.equations: tuple[tuple[Vec, int], ...] = tuple(
             sorted((e[1:], e[0]) for e in eqs))
         self._lattice_points = None
+        self._point_masks = None
         self._ray_minima: dict = {}
         # fans that restriction_polytope found to refine the normal fan
         self._refining_fans = weakref.WeakSet()
@@ -80,16 +82,49 @@ class Polytope:
         interval of values from which the rest of the box can still
         satisfy them all, so a prefix that no box point completes is never
         extended, and at the last coordinate that interval is the run of
-        lattice points itself.
+        lattice points itself.  Beside each point the scan keeps the
+        bitmask of the facets it is tight on (bit j for facet j), read off
+        the same run: a facet row with a positive coefficient is tight at
+        most at the run's first value, one with a negative coefficient at
+        its last, and one with coefficient 0 on the whole run or nowhere.
         """
         if self._lattice_points is None:
-            self._lattice_points = self._scan() if self.ambient_rank else [()]
+            self._lattice_points, self._point_masks = (
+                self._scan() if self.ambient_rank else ([()], [0]))
         return list(self._lattice_points)
 
-    def _scan(self) -> list[Vec]:
+    def _masks(self) -> list[int]:
+        """The tight-facet bitmask of each lattice point, in the order of
+        `lattice_points`, from the one scan."""
+        if self._lattice_points is None:
+            self.lattice_points()
+        return self._point_masks
+
+    @cached_property
+    def census(self) -> Counter:
+        """Lattice points counted by the set of facets they are tight on,
+        keyed by bitmask.  A point is in the relative interior of the face
+        cut out by its tight facets, so the key 0 counts the interior
+        points and a one-bit key those interior to that facet."""
+        return Counter(self._masks())
+
+    def face_point_count(self, rays) -> int:
+        """Lattice points of the face the rays cut out (see
+        `face_vertices`): those tight on every facet through its vertices,
+        since a nonempty face is the intersection of the facets containing
+        it, or P itself when none does."""
+        face = self.face_vertices(rays)
+        if not face:
+            return 0
+        through = sum(1 << j for j, (n, c) in enumerate(self.facets)
+                      if all(vdot(n, v) == -c for v in face))
+        return sum(k for m, k in self.census.items() if m & through == through)
+
+    def _scan(self) -> tuple[list[Vec], list[int]]:
         lo, hi = self.bounding_box()
         rows = list(self.equations)
         rows += [(tuple(-x for x in e), -c) for e, c in self.equations]
+        first_facet = len(rows)
         rows += self.facets
         last = self.ambient_rank - 1
         # floors[k][i]: the least value of row i's sum over coordinates
@@ -101,7 +136,11 @@ class Polytope:
             reach = [r + max(n[k] * lo[k], n[k] * hi[k])
                      for r, (n, _) in zip(reach, rows)]
         columns = [[n[k] for n, _ in rows] for k in range(last + 1)]
+        # per facet at the last coordinate: (bit, coefficient, floor)
+        tight_rows = [(1 << j, t, f) for j, (t, f) in enumerate(
+            zip(columns[last][first_facet:], floors[last][first_facet:]))]
         pts = []
+        masks = []
 
         def extend(k, head, partial):
             a, b = lo[k], hi[k]
@@ -117,6 +156,22 @@ class Polytope:
                     return
             if k == last:
                 pts.extend(head + (x,) for x in range(a, b + 1))
+                run = at_a = at_b = 0
+                for (bit, t, f), s in zip(tight_rows,
+                                          partial[first_facet:]):
+                    r = f - s
+                    if t > 0:
+                        if t * a == r:
+                            at_a |= bit
+                    elif t < 0:
+                        if t * b == r:
+                            at_b |= bit
+                    elif r == 0:
+                        run |= bit
+                row = [run] * (b - a + 1)
+                row[0] |= at_a
+                row[-1] |= at_b
+                masks.extend(row)
                 return
             column = columns[k]
             for x in range(a, b + 1):
@@ -124,7 +179,7 @@ class Polytope:
                        [s + t * x for s, t in zip(partial, column)])
 
         extend(0, (), [0] * len(rows))
-        return pts
+        return pts, masks
 
     def facet_vertex_incidence(self):
         """Per facet, the sorted list of indices of vertices lying on it."""
@@ -224,17 +279,23 @@ class SubspaceChart:
 class RestrictedPolytope:
     """The face of `ambient` cut out by the rays of tau, in the chart of
     tau's orthogonal complement at a vertex of that face: the chart points
-    that `ambient` contains.  The vertices, those of `ambient` on the face,
-    are charted on first use of `polytope`."""
+    that `ambient` contains.  Its vertices are those of `ambient` on the
+    face, charted on first use, and `ambient.face_point_count(tau_rays)`
+    counts its lattice points with no chart; `polytope`, the charted hull,
+    is built only when asked for."""
 
     ambient: Polytope = field(repr=False)
     chart: SubspaceChart
     tau_rays: tuple[Vec, ...] = field(repr=False)
 
     @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(sorted(self.chart.to_chart(v) for v in
+                            self.ambient.face_vertices(self.tau_rays)))
+
+    @cached_property
     def polytope(self) -> Polytope:
-        return Polytope(self.chart.to_chart(v)
-                        for v in self.ambient.face_vertices(self.tau_rays))
+        return Polytope(self.vertices)
 
 
 def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
@@ -297,8 +358,7 @@ def interior_lattice_points(p: Polytope) -> list[Vec]:
     """
     if p.dim == 0:
         return []
-    return [pt for pt in p.lattice_points()
-            if all(vdot(n, pt) > -c for n, c in p.facets)]
+    return [pt for pt, m in zip(p.lattice_points(), p._masks()) if not m]
 
 
 def face_polytope(p: Polytope, vertex_indices) -> Polytope:

@@ -33,7 +33,10 @@ that the library carried before it kept only the forms.  A primitive
 cone is tested against the fibration criterion by a double description
 of its image, and each intersection of primitive cones is measured by
 the rank of its relative star, the way the library did before it read
-both off the stratum.
+both off the stratum.  The image cone of a source cone is located at the
+image of its ray sum, and a map of fans is checked by testing every ray
+image of each maximal source cone against each maximal target cone, the
+way the library did before it read both off the carriers of ray images.
 """
 
 import itertools
@@ -577,6 +580,33 @@ def intersection_star_ranks(m, sigma_idx):
             out[subset] = m.relative_star(union, sigma_idx).fan.rank \
                 if m.source.has_cone(union) else EMPTY
     return out
+
+
+# -- the image cone of each source cone and the map-of-fans test, the way
+#    the library took them before it read both off ray carriers
+
+def cone_sigma_of(m):
+    """Source cone -> the image-fan cone whose relative interior holds the
+    image of its ray sum: one location per source cone."""
+    fan = m.image_fan()
+    zero = (0,) * m._phi_img.target_rank
+    return {idx: fan.locate_relint(
+                m._phi_img.apply(m.source.cone(idx).relint_point())
+                if idx else zero)
+            for idx in m.source.all_cone_indices}
+
+
+def cone_is_map_of_fans(phi, source, target):
+    """Whether every ray image of each maximal source cone lies in one
+    maximal target cone, tried cone by cone."""
+    if phi.source_rank != source.rank or phi.target_rank != target.rank:
+        raise ValueError("lattice ranks do not match the map")
+    for idx in source.maximal_cones or [()]:
+        images = [phi.apply(source.rays[i]) for i in idx]
+        if not any(all(target.cone(t).contains(w) for w in images)
+                   for t in (target.maximal_cones or [()])):
+            return False
+    return True
 
 
 # -- surface and planar-set equivalence by search, the way the library

@@ -8,7 +8,7 @@ from hypothesis import assume, strategies as st
 from toricfiber.fans import Fan, star_subdivide
 from toricfiber.intlinalg import LatticeMap, mat_vec, smith_normal_form, vadd
 from toricfiber.morphism import FanMap, is_map_of_fans
-from toricfiber.polytopes import Polytope
+from toricfiber.polytopes import Polytope, normal_fan
 from toricfiber.surfaces import CATALOG_RAYS, catalog_fan
 
 
@@ -80,3 +80,37 @@ def fan_maps(draw):
             min_size=m, max_size=m)))
         assume(is_map_of_fans(phi, source, target))
     return FanMap(phi, source, target)
+
+
+_CUBE_CORNERS = list(itertools.product((1, -1), repeat=3))
+# the cones over the six faces of the cube [-1,1]^3: the normal fan of the
+# octahedron, each cone on four rays
+OCTAHEDRAL = Fan(3, _CUBE_CORNERS,
+                 [[i for i, c in enumerate(_CUBE_CORNERS) if c[axis] == side]
+                  for axis in range(3) for side in (1, -1)])
+# each square cone cut along the diagonal through its first corner
+TRIANGULATED_OCTAHEDRAL = Fan(3, _CUBE_CORNERS, [
+    cut for c in OCTAHEDRAL.maximal_cones
+    for cut in ((c[0], c[1], c[3]), (c[0], c[2], c[3]))])
+# a square pyramid's normal fan: one cone of four rays at the apex
+PYRAMID = normal_fan(Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+                               (0, 0, 1)]))
+NON_SIMPLICIAL_FANS = (OCTAHEDRAL, PYRAMID)
+
+
+@lru_cache(maxsize=1)
+def maps_into_non_simplicial():
+    """(phi, source, target) for every map of fans from a rank-3 fan into
+    OCTAHEDRAL or PYRAMID that is the identity or whose columns are target
+    rays or zero."""
+    sources = [f for f in SMALL_FANS if f.rank == 3]
+    sources += [TRIANGULATED_OCTAHEDRAL, *NON_SIMPLICIAL_FANS]
+    out = []
+    for source, target in itertools.product(sources, NON_SIMPLICIAL_FANS):
+        columns = list(target.rays) + [(0, 0, 0)]
+        for phi in [LatticeMap.identity(3)] + [
+                LatticeMap.from_columns(cols)
+                for cols in itertools.product(columns, repeat=3)]:
+            if is_map_of_fans(phi, source, target):
+                out.append((phi, source, target))
+    return out

@@ -8,6 +8,9 @@ from click.testing import CliRunner
 from toricfiber import data
 from toricfiber.cli import cli, main, pipeline_report_lines
 from toricfiber.documents import fan_document, serialize
+from toricfiber.fans import Fan
+from toricfiber.morphism import FanMap
+from toricfiber.polytopes import Polytope, RestrictedPolytope
 from toricfiber.surfaces import catalog_fan
 
 
@@ -278,6 +281,40 @@ def test_pipeline_report_deterministic():
     assert "nonzero primitive cones: 59" in joined
     assert "moduli dimension: 2897" in joined
     assert "smooth: True" in joined
+
+
+def test_pipeline_report_reads_each_fact_once(monkeypatch):
+    """The report scans the section polytope once and builds no charted
+    hull of a restriction, and each map locates each source ray's image
+    once to check the map and once more to place its cones."""
+    expected = pipeline_report_lines()
+    maps, scanned, located, hulls = [], [], [], []
+
+    def spy(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args):
+            record.append(self)
+            return original(self, *args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(FanMap, "__init__", maps)
+    spy(Polytope, "_scan", scanned)
+    spy(Fan, "locate_relint", located)
+    monkeypatch.setattr(RestrictedPolytope, "polytope", property(
+        lambda r: hulls.append(r) or Polytope(r.vertices)))
+    # fresh objects, so that no cached work from earlier reports is read
+    section = Polytope(data.POLYTOPE_VERTICES)
+    fibration = FanMap(data.projection(), data.total_fan(), data.base_fan())
+    monkeypatch.setattr(data, "section_polytope", lambda: section)
+    monkeypatch.setattr(data, "fibration_map", lambda: fibration)
+    assert pipeline_report_lines() == expected
+    assert hulls == []
+    assert [p for p in scanned if p is section] == [section]
+    assert len(maps) == 2 and all("_sigma_of" in vars(m) for m in maps)
+    # one locate per star subdivision, at its new ray
+    assert len(located) == sum(2 * len(m.source.rays) for m in maps) \
+        + len(data.RESOLUTION_ORDER)
 
 
 def src_env():

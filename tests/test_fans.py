@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (cone_extreme_rays, face_table, facet_closure,
                      quotient_star, scan_locate_relint)
-from strategies import SMALL_FANS
+from strategies import PYRAMID, SMALL_FANS
 from toricfiber import data, fans
 from toricfiber.fans import (Cone, Fan, fan_equal, fan_from_cones,
                              fan_isomorphic, singular_locus_cones,
@@ -203,6 +203,25 @@ def test_star_subdivide_preserves_support():
     assert g.is_smooth()
 
 
+def test_star_subdivisions_equal_fans_built_afresh():
+    # each resolution fan shares its parent's cones for the index sets it
+    # keeps; built again from its rays and maximal cones alone, every cone
+    # must come out the same
+    g = data.total_fan()
+    for name in data.RESOLUTION_ORDER:
+        parent, g = g, star_subdivide(g, data.RESOLUTION_RAYS[name])
+        fresh = Fan(g.rank, g.rays, g.maximal_cones)
+        assert fan_equal(g, fresh)
+        assert g.f_vector() == fresh.f_vector()
+        assert g.is_complete() and fresh.is_complete()
+        assert g.all_cone_indices == fresh.all_cone_indices
+        for idx in fresh.all_cone_indices:
+            cone = g.cone(idx)
+            assert cone.generators == tuple(g.rays[i] for i in idx)
+            assert cone.halfspaces == fresh.cone(idx).halfspaces
+        assert any(g.cone(c) is parent.cone(c) for c in g.maximal_cones)
+
+
 def test_star_subdivide_outside_support():
     f = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
     with pytest.raises(ValueError):
@@ -274,6 +293,32 @@ def test_fan_isomorphic_rejects_fans_of_the_same_counts():
             == (len(f2.rays), len(f2.maximal_cones))
         assert fan_isomorphic(f1, f2) is None
         assert fan_isomorphic(f2, f1) is None
+
+
+def test_fan_isomorphic_needs_a_simplicial_full_dimensional_anchor():
+    octahedron = Polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+    coordinate_rays = Fan(2, [(1, 0), (0, 1)], [[0], [1]])
+    for f in (normal_fan(octahedron), coordinate_rays):
+        with pytest.raises(ValueError, match="anchor"):
+            fan_isomorphic(f, f)
+
+
+def test_fan_isomorphic_anchors_past_a_non_simplicial_first_cone():
+    apex = next(c for c in PYRAMID.maximal_cones if len(c) == 4)
+    order = list(apex) + [i for i in range(len(PYRAMID.rays))
+                          if i not in apex]
+    where = {old: new for new, old in enumerate(order)}
+    f = Fan(3, [PYRAMID.rays[i] for i in order],
+            [[where[i] for i in c] for c in PYRAMID.maximal_cones])
+    assert len(f.maximal_cones[0]) == 4
+    g = [[1, 2, 0], [0, 1, 0], [3, -1, 1]]
+    image = Fan(3, [mat_vec(g, r) for r in f.rays], f.maximal_cones)
+    for target in (f, image):
+        u = fan_isomorphic(f, target)
+        assert u is not None and abs(mat_det(u)) == 1
+        assert fan_equal(Fan(3, [mat_vec(u, r) for r in f.rays],
+                             f.maximal_cones), target)
 
 
 def test_locate_relint_matches_scan_of_every_cone():

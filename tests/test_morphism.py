@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from oracles import (image_cone_violations, intersection_star_ranks,
+from oracles import (cone_is_map_of_fans, cone_sigma_of,
+                     image_cone_violations, intersection_star_ranks,
                      member_index)
-from strategies import fan_maps
+from strategies import (NON_SIMPLICIAL_FANS, OCTAHEDRAL, SMALL_FANS,
+                        TRIANGULATED_OCTAHEDRAL, fan_maps,
+                        maps_into_non_simplicial)
 from toricfiber import data, fans, geometry, morphism
+from toricfiber.analysis import resolve_pipeline
 from toricfiber.fans import Fan, fan_equal, zero_fan
 from toricfiber.intlinalg import LatticeMap, cokernel_index
 from toricfiber.morphism import EMPTY, FanMap, is_map_of_fans
@@ -427,3 +431,59 @@ def test_stars_share_one_fan_per_distinct_star():
     # two stars listing only the cone tau itself differ by their rank
     f = Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]])
     assert [morphism.star(f, tau).rank for tau in ((0, 1), (2,))] == [0, 1]
+
+
+# -- image cones read off ray carriers, against the per-cone oracle -------
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan_maps())
+def test_sigma_of_matches_the_per_cone_oracle(m):
+    assert m._sigma_of == cone_sigma_of(m)
+
+
+def test_sigma_of_matches_the_per_cone_oracle_on_non_simplicial_targets():
+    for phi, source, target in maps_into_non_simplicial():
+        m = FanMap(phi, source, target)
+        assert m._sigma_of == cone_sigma_of(m)
+
+
+def test_sigma_of_is_the_smallest_face_holding_the_carriers():
+    # a diagonal of a square cone maps to two opposite rays, which span no
+    # cone: the image of its relint lies in the relint of the square cone
+    m = FanMap(LatticeMap.identity(3), TRIANGULATED_OCTAHEDRAL, OCTAHEDRAL)
+    diagonals = [c for c in TRIANGULATED_OCTAHEDRAL.all_cone_indices
+                 if len(c) == 2 and not OCTAHEDRAL.has_cone(c)]
+    assert len(diagonals) == 6
+    for c in diagonals:
+        sigma = m.sigma_of(c)
+        assert len(sigma) == 4 and set(c) < set(sigma)
+        assert sigma in OCTAHEDRAL.maximal_cones
+
+
+def test_sigma_of_matches_the_per_cone_oracle_on_the_bundled_maps():
+    m = data.fibration_map()
+    resolved = resolve_pipeline(
+        m.source, [data.RESOLUTION_RAYS[n] for n in data.RESOLUTION_ORDER],
+        phi=m.phi, target=m.target).fan
+    for fm in (m, FanMap(m.phi, resolved, m.target)):
+        assert fm._sigma_of == cone_sigma_of(fm)
+        assert cone_is_map_of_fans(fm.phi, fm.source, fm.target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_FANS + NON_SIMPLICIAL_FANS + (
+           TRIANGULATED_OCTAHEDRAL,)),
+       st.sampled_from(SMALL_FANS + NON_SIMPLICIAL_FANS), st.data())
+def test_is_map_of_fans_matches_the_per_cone_oracle(source, target, picks):
+    entries = st.integers(-2, 2)
+    phi = LatticeMap.from_rows(picks.draw(st.lists(
+        st.lists(entries, min_size=source.rank, max_size=source.rank),
+        min_size=target.rank, max_size=target.rank)))
+    assert is_map_of_fans(phi, source, target) == \
+        cone_is_map_of_fans(phi, source, target)
+
+
+def test_is_map_of_fans_accepts_only_what_the_oracle_accepts():
+    for phi, source, target in maps_into_non_simplicial():
+        assert cone_is_map_of_fans(phi, source, target)

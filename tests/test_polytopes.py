@@ -271,6 +271,37 @@ def test_lattice_points_match_oracles(p):
     assert pts == box_scan_points(p)
     assert sorted(interior_lattice_points(p)) == sorted(chart_interior_points(p))
     assert facet_interior_sum(p) == chart_facet_interior_sum(p)
+    # each point's tight-facet mask, against one pairing per facet
+    assert p._masks() == [
+        sum(1 << j for j, (n, c) in enumerate(p.facets) if vdot(n, pt) == -c)
+        for pt in pts]
+    assert sum(p.census.values()) == len(pts)
+
+
+def _assert_face_counts_match_restrictions(p, fan, cones):
+    for tau in cones:
+        r = restriction_polytope(p, tau, fan)
+        assert p.face_point_count(r.tau_rays) == \
+            len(lattice_points(r.polytope)), tau
+        assert r.vertices == r.polytope.vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes().filter(lambda p: p.is_full_dimensional))
+@example(THIN_SIMPLEX)
+@example(NEEDLE)
+def test_face_point_counts_match_charted_restrictions(p):
+    nf = normal_fan(p)
+    _assert_face_counts_match_restrictions(p, nf, nf.all_cone_indices)
+
+
+def test_face_point_counts_match_the_bundled_restrictions():
+    m = data.fibration_map()
+    p = data.section_polytope()
+    taus = [t for _, rep in m.flattening_stratification()
+            for t in rep.primitive if t]
+    assert len(taus) == 59
+    _assert_face_counts_match_restrictions(p, m.source, taus)
 
 
 def test_cached_ray_minima_carry_no_refinement_verdict():
