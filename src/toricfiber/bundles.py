@@ -81,19 +81,21 @@ def restrict_section_to_orbit_closure(s: LaurentSection, tau_idx, p: Polytope,
     """Keep the terms on the face of P cut out by tau and re-express them
     in the orthogonal-complement chart.
 
-    A term e is kept when <e, r> = <origin, r> for every ray r of tau and
-    P contains e.  Only kept terms are charted: a kept term is an
-    integral vector of tau's orthogonal complement away from the origin,
-    and the chart basis is a saturated basis of that complement.
+    A term e is kept when P's census holds it, with a tight-facet mask
+    that holds the face's (see `Polytope.face`): exponents are integral,
+    so e lies in P exactly when it is a census point.  Only kept terms
+    are charted: a kept term is an integral vector of tau's orthogonal
+    complement away from the origin, and the chart basis is a saturated
+    basis of that complement.
 
     Returns (restricted section, RestrictedPolytope).
     """
     _check_rank(s, p.ambient_rank, "polytope")
     restriction = restriction_polytope(p, tau_idx, fan)
-    chart = restriction.chart
-    pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
+    chart, face_mask = restriction.chart, restriction.face_mask
+    census = p.point_masks()
     kept = {chart.to_chart(e): c for e, c in s.terms
-            if all(vdot(r, e) == h for r, h in pins) and p.contains(e)}
+            if (m := census.get(e)) is not None and m & face_mask == face_mask}
     return LaurentSection.from_dict(kept), restriction
 
 

@@ -603,8 +603,8 @@ def pipeline_report_lines() -> list[str]:
             if not tau:
                 continue
             r = restriction_polytope(p, tau, m.source)
-            hull_ids = sorted(vno[v] for v in p.face_vertices(r.tau_rays))
-            count = p.face_point_count(r.tau_rays)
+            hull_ids = sorted(vno[v] for v in r.face)
+            count = p.tight_point_count(r.face_mask)
             proj, _ = m.project_polytope(r, tau, sigma)
             out.append(f"{data.cone_name(snames, tau):16s} "
                        f"hull={','.join(str(i) for i in hull_ids):24s} "

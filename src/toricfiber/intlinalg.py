@@ -451,8 +451,11 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 def cokernel_index(f: LatticeMap):
     """[target : image] as an integer, or INFINITE if the image has lower rank."""
-    snf = smith_normal_form(f.matrix)
-    if snf.rank < f.target_rank:
+    return _index(smith_normal_form(f.matrix), f.target_rank)
+
+
+def _index(snf: SmithDecomposition, target_rank: int):
+    if snf.rank < target_rank:
         return INFINITE
     idx = 1
     for d in snf.diagonal:
@@ -584,6 +587,21 @@ class SublatticeCoords:
             c = [y // self.scale for y in c]
         c = tuple(c)
         return c if lin_comb(c, self.basis, len(x)) == tuple(x) else None
+
+
+def kernel_coords(f: LatticeMap) -> tuple[SublatticeCoords, object]:
+    """(ker f with its coordinates, [target : image]) off one Smith form
+    f = U S V of rank r.  The kernel basis is columns r.. of V^-1, the one
+    `kernel_basis` returns, and rows r.. of V are its left inverse at
+    scale 1, since V V^-1 = I; the index is `cokernel_index`'s."""
+    n = f.source_rank
+    if not f.target_rank:       # see kernel_basis
+        ident = tuple(tuple(r) for r in _identity(n))
+        return SublatticeCoords(ident, ident, 1), 1
+    snf = smith_normal_form(f.matrix)
+    r = snf.rank
+    basis = tuple(tuple(row[j] for row in snf.Vinv) for j in range(r, n))
+    return SublatticeCoords(basis, snf.V[r:], 1), _index(snf, f.target_rank)
 
 
 def in_sublattice_coords(basis, x: Vec):

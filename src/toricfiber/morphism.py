@@ -22,7 +22,7 @@ from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
 from .intlinalg import (INFINITE, InvariantError, LatticeMap,
                         QuotientLattice, SublatticeCoords, Vec,
-                        cokernel_index, is_zero, kernel_basis, lin_comb,
+                        cokernel_index, is_zero, kernel_coords, lin_comb,
                         mat_rank, mat_vec, primitivize, quotient_lattice,
                         saturate_columns, smith_normal_form, vdot)
 from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
@@ -300,20 +300,12 @@ class FanMap:
         one index per stratum."""
         if sigma_idx not in self._strata:
             fan = self.image_fan()
-            n_src = self.source.rank
             q_sigma = quotient_lattice(fan.rank, saturate_columns(
                 [fan.rays[i] for i in sigma_idx], fan.rank))
-            # preimage of span(sigma): kernel of projection-after-phi
-            if q_sigma.rank == 0:
-                pre_basis = [tuple(int(i == j) for j in range(n_src))
-                             for i in range(n_src)]
-                index = 1
-            else:
-                proj = LatticeMap.from_columns(
-                    [q_sigma.project(col) for col in self._phi_img.columns()])
-                pre_basis = kernel_basis(proj)
-                index = cokernel_index(proj)
-            pre = SublatticeCoords.of(pre_basis)
+            # preimage of span(sigma): kernel of projection-after-phi, and
+            # the index of its image, off one Smith form
+            pre, index = kernel_coords(LatticeMap.from_columns(
+                [q_sigma.project(col) for col in self._phi_img.columns()]))
             ray_coords = {}
             for sp in self._members.get(sigma_idx, ()):
                 for i in sp:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fans import Cone, Fan, fan_from_cones
-from .intlinalg import (SublatticeCoords, Vec, kernel_basis, LatticeMap,
-                        lin_comb, vadd, vdot, vsub)
+from .intlinalg import (SublatticeCoords, Vec, kernel_basis, kernel_coords,
+                        LatticeMap, lin_comb, vadd, vdot, vsub)
 
 
 class Polytope:
@@ -40,11 +40,12 @@ class Polytope:
             sorted((n[1:], n[0]) for n in normals if any(n[1:])))
         self.equations: tuple[tuple[Vec, int], ...] = tuple(
             sorted((e[1:], e[0]) for e in eqs))
-        self._lattice_points = None
-        self._point_masks = None
-        self._ray_minima: dict = {}
-        # fans that restriction_polytope found to refine the normal fan
-        self._refining_fans = weakref.WeakSet()
+        # the census: lattice point -> tight-facet bitmask, in scan order
+        self._lattice_points: dict[Vec, int] | None = None
+        self._ray_faces: dict[Vec, int] = {}
+        # fans that restriction_polytope found to refine the normal fan,
+        # with their support vertices
+        self._refining_fans = weakref.WeakKeyDictionary()
 
     @property
     def dim(self) -> int:
@@ -82,23 +83,26 @@ class Polytope:
         interval of values from which the rest of the box can still
         satisfy them all, so a prefix that no box point completes is never
         extended, and at the last coordinate that interval is the run of
-        lattice points itself.  Beside each point the scan keeps the
-        bitmask of the facets it is tight on (bit j for facet j), read off
-        the same run: a facet row with a positive coefficient is tight at
-        most at the run's first value, one with a negative coefficient at
-        its last, and one with coefficient 0 on the whole run or nowhere.
+        lattice points itself.  The scan keeps each point in the census
+        (`point_masks`) with the bitmask of the facets it is tight on,
+        read off the same run: a facet row with a positive coefficient is
+        tight at most at the run's first value, one with a negative
+        coefficient at its last, and one with coefficient 0 on the whole
+        run or nowhere.
         """
         if self._lattice_points is None:
-            self._lattice_points, self._point_masks = (
-                self._scan() if self.ambient_rank else ([()], [0]))
+            self._lattice_points = (self._scan() if self.ambient_rank
+                                    else {(): 0})
         return list(self._lattice_points)
 
-    def _masks(self) -> list[int]:
-        """The tight-facet bitmask of each lattice point, in the order of
-        `lattice_points`, from the one scan."""
+    def point_masks(self) -> dict[Vec, int]:
+        """The census: each lattice point, lexicographically ordered, with
+        the bitmask of the facets it is tight on (bit j for facet j), kept
+        from the one scan of `lattice_points`.  Callers read it and do not
+        change it."""
         if self._lattice_points is None:
             self.lattice_points()
-        return self._point_masks
+        return self._lattice_points
 
     @cached_property
     def census(self) -> Counter:
@@ -106,21 +110,17 @@ class Polytope:
         keyed by bitmask.  A point is in the relative interior of the face
         cut out by its tight facets, so the key 0 counts the interior
         points and a one-bit key those interior to that facet."""
-        return Counter(self._masks())
+        return Counter(self.point_masks().values())
+
+    def tight_point_count(self, mask: int) -> int:
+        """The lattice points tight on every facet in the mask."""
+        return sum(k for m, k in self.census.items() if m & mask == mask)
 
     def face_point_count(self, rays) -> int:
-        """Lattice points of the face the rays cut out (see
-        `face_vertices`): those tight on every facet through its vertices,
-        since a nonempty face is the intersection of the facets containing
-        it, or P itself when none does."""
-        face = self.face_vertices(rays)
-        if not face:
-            return 0
-        through = sum(1 << j for j, (n, c) in enumerate(self.facets)
-                      if all(vdot(n, v) == -c for v in face))
-        return sum(k for m, k in self.census.items() if m & through == through)
+        """Lattice points of the face the rays cut out (see `face`)."""
+        return self.tight_point_count(self.face(rays)[1])
 
-    def _scan(self) -> tuple[list[Vec], list[int]]:
+    def _scan(self) -> dict[Vec, int]:
         lo, hi = self.bounding_box()
         rows = list(self.equations)
         rows += [(tuple(-x for x in e), -c) for e, c in self.equations]
@@ -139,8 +139,7 @@ class Polytope:
         # per facet at the last coordinate: (bit, coefficient, floor)
         tight_rows = [(1 << j, t, f) for j, (t, f) in enumerate(
             zip(columns[last][first_facet:], floors[last][first_facet:]))]
-        pts = []
-        masks = []
+        census = {}
 
         def extend(k, head, partial):
             a, b = lo[k], hi[k]
@@ -155,7 +154,6 @@ class Polytope:
                 if a > b:
                     return
             if k == last:
-                pts.extend(head + (x,) for x in range(a, b + 1))
                 run = at_a = at_b = 0
                 for (bit, t, f), s in zip(tight_rows,
                                           partial[first_facet:]):
@@ -171,7 +169,8 @@ class Polytope:
                 row = [run] * (b - a + 1)
                 row[0] |= at_a
                 row[-1] |= at_b
-                masks.extend(row)
+                census.update(zip([head + (x,) for x in range(a, b + 1)],
+                                  row))
                 return
             column = columns[k]
             for x in range(a, b + 1):
@@ -179,7 +178,7 @@ class Polytope:
                        [s + t * x for s, t in zip(partial, column)])
 
         extend(0, (), [0] * len(rows))
-        return pts, masks
+        return census
 
     def facet_vertex_incidence(self):
         """Per facet, the sorted list of indices of vertices lying on it."""
@@ -193,17 +192,47 @@ class Polytope:
         """The vertices minimising every given ray: the vertices of the
         face the rays cut out when one vertex minimises them all, none
         when no vertex does, and all of them for no ray."""
-        minima = [(r, self._ray_minimum(r)) for r in rays]
-        return [v for v in self.vertices
-                if all(vdot(v, r) == m for r, m in minima)]
+        return [self.vertices[i] for i in self._face_indices(rays)]
 
-    def _ray_minimum(self, ray) -> int:
-        """min <v, ray> over the vertices, kept per ray on first use."""
-        best = self._ray_minima.get(ray)
-        if best is None:
-            best = self._ray_minima[ray] = min(vdot(v, ray)
-                                               for v in self.vertices)
-        return best
+    def face(self, rays) -> tuple[tuple[Vec, ...], int]:
+        """(vertices, facet mask) of the face the rays cut out: its
+        vertices are `face_vertices(rays)`, and the mask, the AND of their
+        facet masks, holds the facets through the face.  A nonempty face
+        is the intersection of P with those facets, or P itself when there
+        are none (Ziegler, Lectures on Polytopes, section 2.1), so its
+        lattice points are those whose census mask holds the face's.  An
+        empty face gets the mask -1, which no point's mask holds."""
+        idx = self._face_indices(rays)
+        mask = -1
+        for i in idx:
+            mask &= self._vertex_masks[i]
+        return tuple(self.vertices[i] for i in idx), mask
+
+    def _face_indices(self, rays) -> list[int]:
+        face = (1 << len(self.vertices)) - 1
+        for r in rays:
+            face &= self._ray_face(r)
+        return [i for i in range(len(self.vertices)) if face >> i & 1]
+
+    @cached_property
+    def _vertex_masks(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of the facets through it."""
+        masks = [0] * len(self.vertices)
+        for j, inc in enumerate(self.facet_vertex_incidence()):
+            for i in inc:
+                masks[i] |= 1 << j
+        return tuple(masks)
+
+    def _ray_face(self, ray) -> int:
+        """The bitmask of the vertices minimising <v, ray> (bit i for
+        vertex i), kept per ray on first use."""
+        face = self._ray_faces.get(ray)
+        if face is None:
+            values = [vdot(v, ray) for v in self.vertices]
+            least = min(values)
+            face = self._ray_faces[ray] = sum(
+                1 << i for i, x in enumerate(values) if x == least)
+        return face
 
 
 def lattice_points(p: Polytope) -> list[Vec]:
@@ -264,6 +293,18 @@ class SubspaceChart:
             raise ValueError("chart basis does not span a saturated sublattice")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def on_kernel(cls, origin: Vec,
+                  kernel: SublatticeCoords) -> "SubspaceChart":
+        """The chart at origin on a kernel read by `kernel_coords`, whose
+        basis is saturated and whose coordinates come with it at scale 1,
+        so no second Smith form checks it."""
+        chart = object.__new__(cls)
+        for name, value in (("origin", origin), ("basis", kernel.basis),
+                            ("coords", kernel)):
+            object.__setattr__(chart, name, value)
+        return chart
+
     def to_chart(self, point) -> Vec:
         """Chart coordinates y, with lin_comb(y, basis) == point - origin."""
         coords = self.coords(vsub(point, self.origin))
@@ -279,19 +320,21 @@ class SubspaceChart:
 class RestrictedPolytope:
     """The face of `ambient` cut out by the rays of tau, in the chart of
     tau's orthogonal complement at a vertex of that face: the chart points
-    that `ambient` contains.  Its vertices are those of `ambient` on the
-    face, charted on first use, and `ambient.face_point_count(tau_rays)`
-    counts its lattice points with no chart; `polytope`, the charted hull,
-    is built only when asked for."""
+    that `ambient` contains.  It keeps the face's vertices in ambient
+    coordinates and its facet mask, both from `ambient.face(tau_rays)`;
+    its vertices are charted on first use, and
+    `ambient.tight_point_count(face_mask)` counts its lattice points with
+    no chart; `polytope`, the charted hull, is built only when asked for."""
 
     ambient: Polytope = field(repr=False)
     chart: SubspaceChart
     tau_rays: tuple[Vec, ...] = field(repr=False)
+    face: tuple[Vec, ...] = field(repr=False)
+    face_mask: int = field(repr=False)
 
     @cached_property
     def vertices(self) -> tuple[Vec, ...]:
-        return tuple(sorted(self.chart.to_chart(v) for v in
-                            self.ambient.face_vertices(self.tau_rays)))
+        return tuple(sorted(self.chart.to_chart(v) for v in self.face))
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -332,23 +375,28 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     maximal cone the first time this polytope meets this fan.  Translates
     by the weight of the lexicographically smallest maximal cone
     containing tau and intersects with the orthogonal complement of tau,
-    expressed in a saturated basis of that complement.  That weight
+    expressed in a saturated basis of that complement: the kernel of
+    tau's rays with its coordinates, off one Smith form.  That weight
     minimises every ray of tau, so the slice is the face of P they cut
     out.  Any other valid weight gives a lattice translate.
     """
     tau_idx = tuple(sorted(tau_idx))
     if not ref_fan.has_cone(tau_idx):
         raise ValueError("tau is not a cone of the fan")
-    if ref_fan not in p._refining_fans:
-        support_vertices(p, ref_fan)
-        p._refining_fans.add(ref_fan)
-    tops = sorted(c for c in ref_fan.maximal_cones if ref_fan.is_face(tau_idx, c))
-    if not tops:
+    support = p._refining_fans.get(ref_fan)
+    if support is None:
+        support = p._refining_fans[ref_fan] = support_vertices(p, ref_fan)
+    # the maximal cones are sorted, and tau, a cone of the fan, is a face
+    # of each one that holds its rays
+    top = next((c for c in ref_fan.maximal_cones if set(tau_idx) <= set(c)),
+               None)
+    if top is None:
         raise ValueError("tau is not contained in a maximal cone")
-    origin = support_vertex(p, ref_fan, tops[0])
+    origin = support[top]
     tau_rays = tuple(ref_fan.rays[i] for i in tau_idx)
-    basis = tuple(orthogonal_complement_basis(tau_rays, p.ambient_rank))
-    return RestrictedPolytope(p, SubspaceChart(origin, basis), tau_rays)
+    kernel, _ = kernel_coords(LatticeMap._shaped(tau_rays, p.ambient_rank))
+    return RestrictedPolytope(p, SubspaceChart.on_kernel(origin, kernel),
+                              tau_rays, *p.face(tau_rays))
 
 
 def interior_lattice_points(p: Polytope) -> list[Vec]:
@@ -358,7 +406,7 @@ def interior_lattice_points(p: Polytope) -> list[Vec]:
     """
     if p.dim == 0:
         return []
-    return [pt for pt, m in zip(p.lattice_points(), p._masks()) if not m]
+    return [pt for pt, m in p.point_masks().items() if not m]
 
 
 def face_polytope(p: Polytope, vertex_indices) -> Polytope:

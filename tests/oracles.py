@@ -24,7 +24,10 @@ The star of a simplicial cone is taken in the quotient by its own rays,
 the way the library did before a star became a relative star.  A section
 is restricted to an orbit closure by putting every term through the chart
 solve, the way the library did before it kept only the terms that pair
-with the cone like the chart origin.  The discriminants of the fiber
+with the cone like the chart origin, and by pinning every term to the
+cone's rays and testing it against the polytope's inequalities, the way
+the library did before it read the face off the polytope's point census.
+The discriminants of the fiber
 section families are the term table that the library evaluated before it
 computed them from their classical formulas.  Two fibred forms of one
 section under splittings xi1 and xi2 are compared term by term against
@@ -149,6 +152,18 @@ def chart_first_restriction(s, tau_idx, p, fan):
         if restriction.ambient.contains(restriction.chart.from_chart(y)):
             kept[y] = c
     return LaurentSection.from_dict(kept)
+
+
+def pinned_restriction(s, tau_idx, p, fan):
+    """The terms of s on the restriction of P to V(tau), in chart
+    coordinates: a term is kept when it pairs with every ray of tau like
+    the chart origin and P's inequalities hold at it."""
+    restriction = restriction_polytope(p, tau_idx, fan)
+    chart = restriction.chart
+    pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
+    return LaurentSection.from_dict(
+        {chart.to_chart(e): c for e, c in s.terms
+         if all(vdot(r, e) == h for r, h in pins) and p.contains(e)})
 
 
 def xi_transition(xi1, xi2, form1, form2) -> bool:

@@ -6,7 +6,8 @@ from functools import lru_cache
 from hypothesis import assume, strategies as st
 
 from toricfiber.fans import Fan, star_subdivide
-from toricfiber.intlinalg import LatticeMap, mat_vec, smith_normal_form, vadd
+from toricfiber.intlinalg import (LatticeMap, mat_vec, primitivize,
+                                  smith_normal_form, vadd)
 from toricfiber.morphism import FanMap, is_map_of_fans
 from toricfiber.polytopes import Polytope, normal_fan
 from toricfiber.surfaces import CATALOG_RAYS, catalog_fan
@@ -31,6 +32,29 @@ def polytopes(draw):
     pts = draw(st.lists(st.tuples(*[unit] * k), min_size=n, max_size=n,
                         unique=True))
     return Polytope([vadd(shift, mat_vec(embed, q)) for q in pts])
+
+
+def wide_cones(fan):
+    """The cones of dimension at least 2 of a simplicial fan, at whose ray
+    sums it can be star-subdivided; none for a fan that is not simplicial."""
+    if not all(fan.cone(c).is_simplicial for c in fan.maximal_cones):
+        return []
+    return sorted(c for c in fan.all_cone_indices if len(c) >= 2)
+
+
+def subdivided(fan, cone):
+    """The star subdivision of a simplicial fan at a cone's ray sum, a ray
+    in the cone's relative interior."""
+    return star_subdivide(fan, primitivize(fan.cone(cone).relint_point()))
+
+
+def with_refinement(fan, picks):
+    """The fan, and when it is simplicial its star subdivision at the ray
+    sum of a drawn cone."""
+    wide = wide_cones(fan)
+    if not wide:
+        return [fan]
+    return [fan, subdivided(fan, picks.draw(st.sampled_from(wide)))]
 
 
 _P3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],

@@ -6,16 +6,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import chart_first_restriction, xi_transition
-from strategies import polytopes
-from toricfiber import data
+from oracles import chart_first_restriction, pinned_restriction, xi_transition
+from strategies import polytopes, with_refinement
+from toricfiber import bundles, data, intlinalg
 from toricfiber.bundles import (LaurentSection, fibred_form,
                                 fibred_homogeneous_form, homogeneous_form,
                                 pullback_bundle, quotient_surjection,
                                 restrict_section_to_orbit_closure)
 from toricfiber.fans import Fan
 from toricfiber.intlinalg import (LatticeMap, dual_map, kernel_basis,
-                                  mat_det, section_of_surjection, vdot, vsub)
+                                  mat_det, section_of_surjection,
+                                  smith_normal_form, vadd, vdot, vsub)
 from toricfiber.morphism import FanMap
 from toricfiber.polytopes import (Polytope, SubspaceChart, lattice_points,
                                   normal_fan, restriction_polytope,
@@ -166,6 +167,77 @@ def test_face_first_restriction_matches_the_chart_first_loop(p, picks):
             got, _ = restrict_section_to_orbit_closure(s, tau, p, fan)
         assert got == chart_first_restriction(s, tau, p, fan)
         assert sorted(solved) == sorted(chart.from_chart(y) for y, _ in got.terms)
+
+
+def _refining_fans(p, picks):
+    """Fans that refine the normal fan of P.  For a full-dimensional P: its
+    normal fan and, when that is simplicial, a star subdivision at a drawn
+    cone of dimension 2 or more, whose new ray is no facet normal.  For a
+    lower-dimensional P: the normal fan of P plus the standard simplex,
+    which is complete and refines the normal fans of both summands."""
+    if p.is_full_dimensional:
+        return with_refinement(normal_fan(p), picks)
+    d = p.ambient_rank
+    simplex = [(0,) * d] + [tuple(int(i == j) for j in range(d))
+                            for i in range(d)]
+    return [normal_fan(Polytope([vadd(v, u) for v in p.vertices
+                                 for u in simplex]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.data())
+def test_census_restriction_matches_the_pinned_rule(p, picks):
+    # P's points, integral terms of a larger box (most outside P), and per
+    # cone a term on the chart's span but outside P
+    point = st.tuples(*[st.integers(-4, 4)] * p.ambient_rank)
+    terms = {m: f"a{m}" for m in lattice_points(p)}
+    terms.update((e, Fraction(1)) for e in picks.draw(st.lists(point, max_size=6)))
+    for fan in _refining_fans(p, picks):
+        for tau in fan.all_cone_indices:
+            chart = restriction_polytope(p, tau, fan).chart
+            s = dict(terms)
+            if chart.basis:
+                s[chart.from_chart((9,) + (0,) * (len(chart.basis) - 1))] = 3
+            s = LaurentSection.from_dict(s)
+            got, _ = restrict_section_to_orbit_closure(s, tau, p, fan)
+            assert got == pinned_restriction(s, tau, p, fan)
+
+
+def test_restriction_takes_one_smith_form_and_no_pins(monkeypatch):
+    # the chart and its coordinates come off one Smith form of tau's rays
+    # (none for the zero cone, which has no rays), and a term is kept off
+    # the census with no pairing and no inequality test
+    p = data.section_polytope()
+    fan = data.total_fan()
+    s = LaurentSection.generic(p)
+    taus = [(), *(data.total_cone(n) for n in ("c1'", "e1'", "v1' e2'"))]
+    restrict_section_to_orbit_closure(s, taus[1], p, fan)
+    forms, pins, tested = [], [], []
+    contains = Polytope.contains
+
+    def counted(matrix):
+        forms.append(matrix)
+        return smith_normal_form(matrix)
+
+    def pinned(a, b):
+        pins.append(a)
+        return vdot(a, b)
+
+    def counted_contains(self, point):
+        tested.append(point)
+        return contains(self, point)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    for tau in taus:
+        forms.clear()
+        restriction_polytope(p, tau, fan)
+        assert len(forms) == (1 if tau else 0), tau
+    monkeypatch.setattr(bundles, "vdot", pinned)
+    monkeypatch.setattr(Polytope, "contains", counted_contains)
+    for tau in taus:
+        restricted, _ = restrict_section_to_orbit_closure(s, tau, p, fan)
+        assert len(restricted)
+    assert pins == [] and tested == []
 
 
 def test_sections_reject_non_integral_exponents():

@@ -337,10 +337,14 @@ def test_failed_invariant_exits_2_under_optimised_python():
     # of N_sigma, so the stratum check must fail, with asserts stripped by -O
     env = src_env()
     code = ("import sys\n"
+            "from dataclasses import replace\n"
             "from toricfiber import cli, morphism\n"
-            "kernel_basis = morphism.kernel_basis\n"
-            "morphism.kernel_basis = lambda f: [tuple(2 * x for x in b)\n"
-            "                                   for b in kernel_basis(f)]\n"
+            "kernel_coords = morphism.kernel_coords\n"
+            "def doubled(f):\n"
+            "    coords, index = kernel_coords(f)\n"
+            "    return replace(coords, basis=tuple(tuple(2 * x for x in b)\n"
+            "                   for b in coords.basis)), index\n"
+            "morphism.kernel_coords = doubled\n"
             "sys.argv = ['toricfiber', 'morphism', 'fibers', '--sigma', 'r1']\n"
             "cli.main()\n")
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -528,14 +529,26 @@ def test_holed_fans_are_valid_and_not_complete(f, picks):
     assert_faces_match_closure(holed)
 
 
+def overlapping_index_sets(f):
+    """The sets of rank many rays that span a full-dimensional cone and are
+    not a maximal cone of f."""
+    return [c for c in itertools.combinations(range(len(f.rays)), f.rank)
+            if c not in f.maximal_cones
+            and mat_rank([f.rays[i] for i in c]) == f.rank]
+
+
 @settings(max_examples=150, deadline=None)
 @given(subdivided_fans(), st.data())
 def test_extra_overlapping_cone_is_rejected(f, picks):
     n = f.rank
-    extra = picks.draw(st.lists(st.integers(0, len(f.rays) - 1), min_size=n,
-                                max_size=n, unique=True).map(sorted))
-    cone = Cone(tuple(f.rays[i] for i in extra), n)
-    assume(cone.dim == n and tuple(extra) not in f.maximal_cones)
+    candidates = overlapping_index_sets(f)
+    if not candidates:
+        # P^n and the cross-polytope fans have none; a star subdivision
+        # inside a maximal cone leaves that cone's rays as one
+        top = picks.draw(st.sampled_from(f.maximal_cones))
+        f = star_subdivide(f, primitivize(f.cone(top).relint_point()))
+        candidates = overlapping_index_sets(f)
+    extra = list(picks.draw(st.sampled_from(candidates)))
     cones = list(f.maximal_cones) + [extra]
     step, pairwise = verdicts(n, f.rays, cones)
     assert step != 0 and not pairwise

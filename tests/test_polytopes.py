@@ -9,11 +9,11 @@ from oracles import (ReferenceHull, box_scan_points, chart_facet_interior_sum,
                      chart_interior_points, fraction_sublattice_coords,
                      hull_membership_oracle, ray_sum_support_vertex,
                      restrict_to_subspace)
-from strategies import polytopes
+from strategies import polytopes, subdivided, wide_cones, with_refinement
 from toricfiber import data
 from toricfiber.analysis import facet_interior_sum
-from toricfiber.fans import Fan, star_subdivide
-from toricfiber.intlinalg import lin_comb, primitivize, vadd, vdot, vsub
+from toricfiber.fans import Fan
+from toricfiber.intlinalg import lin_comb, vadd, vdot, vsub
 from toricfiber.polytopes import (Polytope, SubspaceChart, dual_polytope,
                                   face_polytope, interior_lattice_points,
                                   is_reflexive, lattice_points, normal_fan,
@@ -272,8 +272,9 @@ def test_lattice_points_match_oracles(p):
     assert sorted(interior_lattice_points(p)) == sorted(chart_interior_points(p))
     assert facet_interior_sum(p) == chart_facet_interior_sum(p)
     # each point's tight-facet mask, against one pairing per facet
-    assert p._masks() == [
-        sum(1 << j for j, (n, c) in enumerate(p.facets) if vdot(n, pt) == -c)
+    assert list(p.point_masks().items()) == [
+        (pt, sum(1 << j for j, (n, c) in enumerate(p.facets)
+                 if vdot(n, pt) == -c))
         for pt in pts]
     assert sum(p.census.values()) == len(pts)
 
@@ -319,27 +320,6 @@ def test_cached_ray_minima_carry_no_refinement_verdict():
         support_vertices(square, wedge)
 
 
-def _wide_cones(fan):
-    """The cones of dimension at least 2 of a simplicial fan, at whose ray
-    sums it can be star-subdivided; none for a fan that is not simplicial."""
-    if not all(fan.cone(c).is_simplicial for c in fan.maximal_cones):
-        return []
-    return sorted(c for c in fan.all_cone_indices if len(c) >= 2)
-
-
-def _subdivided(fan, cone):
-    return star_subdivide(fan, primitivize(fan.cone(cone).relint_point()))
-
-
-def _with_refinement(fan, picks):
-    """The fan, and when it is simplicial its star subdivision at the ray
-    sum of a drawn cone."""
-    wide = _wide_cones(fan)
-    if not wide:
-        return [fan]
-    return [fan, _subdivided(fan, picks.draw(st.sampled_from(wide)))]
-
-
 def _assert_restrictions_match_h_description(p, fan):
     for tau in fan.all_cone_indices:
         r = restriction_polytope(p, tau, fan)
@@ -352,7 +332,7 @@ def _assert_restrictions_match_h_description(p, fan):
 def test_restriction_is_the_face_of_the_h_description(p, picks):
     """On every cone of the normal fan and of a refinement, the restriction
     read off the face's vertices is the slice of the H-description."""
-    for fan in _with_refinement(normal_fan(p), picks):
+    for fan in with_refinement(normal_fan(p), picks):
         _assert_restrictions_match_h_description(p, fan)
 
 
@@ -361,11 +341,11 @@ def test_restriction_is_the_face_on_named_fans():
     # pyramid whose apex cone is not simplicial, and the bundled fan
     cube = Polytope(itertools.product((0, 1), repeat=3))
     fan = normal_fan(cube)
-    assert len(_wide_cones(fan)) == 20
-    for cone in _wide_cones(fan):
-        _assert_restrictions_match_h_description(cube, _subdivided(fan, cone))
+    assert len(wide_cones(fan)) == 20
+    for cone in wide_cones(fan):
+        _assert_restrictions_match_h_description(cube, subdivided(fan, cone))
     pyramid = Polytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
-    assert not _wide_cones(normal_fan(pyramid))
+    assert not wide_cones(normal_fan(pyramid))
     _assert_restrictions_match_h_description(pyramid, normal_fan(pyramid))
     _assert_restrictions_match_h_description(data.section_polytope(),
                                              data.total_fan())
@@ -379,9 +359,9 @@ def test_support_vertex_matches_the_ray_sum_rule(p, picks):
     mostly do not refine the normal fan of p."""
     point = st.tuples(*[st.integers(-2, 2)] * p.ambient_rank)
     other = Polytope(picks.draw(st.lists(point, min_size=1, max_size=7)))
-    fans = _with_refinement(normal_fan(p), picks)
+    fans = with_refinement(normal_fan(p), picks)
     if other.is_full_dimensional:
-        fans += _with_refinement(normal_fan(other), picks)
+        fans += with_refinement(normal_fan(other), picks)
     for fan in fans:
         for cone in fan.all_cone_indices:
             expected = ray_sum_support_vertex(p, fan, cone)
