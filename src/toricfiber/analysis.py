@@ -32,9 +32,6 @@ class DiscriminantShape:
     homogeneity: int
     formula: Callable[[dict], Fraction]
 
-    def degree(self) -> int:
-        return self.homogeneity
-
 
 def _tate(c) -> Fraction:
     """Tate's discriminant of the section sum c_ij x^i y^j over the WCP2(1,2,3)

@@ -2,7 +2,7 @@
 closures, and their regrouping along fiber components.
 
 A line bundle on a fan that refines the normal fan of a polytope P is
-the vertex of P per maximal cone that `polytopes.support_vertices`
+the vertex of P per maximal cone that `Polytope.support_vertices`
 returns (its Cartier data); a section is a Laurent polynomial with
 exponents among the lattice points of P.
 
@@ -22,7 +22,7 @@ from .intlinalg import (InvariantError, LatticeMap, Vec, dual_map, is_zero,
                         saturate_columns, section_of_surjection, vdot, vsub)
 from .morphism import FanMap
 from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
-                        restriction_polytope, support_vertices)
+                        restriction_polytope)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def pullback_bundle(f: FanMap, p2: Polytope) -> Polytope:
 
     The target fan must refine the normal fan of p2.
     """
-    support_vertices(p2, f.target)
+    p2.support_vertices(f.target)
     phi_t = dual_map(f.phi)
     return Polytope([phi_t.apply(v) for v in p2.vertices])
 

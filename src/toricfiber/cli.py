@@ -99,6 +99,13 @@ def _morphism(map_path, source_path, target_path):
     return FanMap(phi, source, target), list(snames), list(tnames)
 
 
+def _image_names(m: FanMap, tnames) -> list[str]:
+    """The image fan's ray names: each ray is named after the target cone
+    whose relative interior holds it, that cone's ray names joined by
+    '+', so a target ray keeps its own name."""
+    return ["+".join(tnames[i] for i in c) for c in m.image_ray_carriers()]
+
+
 def _numbers(text: str, option: str, kind=int) -> list:
     """The numbers of an option value, separated by commas or spaces; a
     value that does not parse is a usage error naming the option."""
@@ -248,10 +255,11 @@ def morphism_image(map_path, source_path, target_path, fmt):
 @fmt_option
 def morphism_fibers(map_path, source_path, target_path, sigma, fmt):
     m, snames, tnames = _morphism(map_path, source_path, target_path)
-    sigma_idx = _cone_from_names(sigma, tnames)
+    inames = _image_names(m, tnames)
+    sigma_idx = _cone_from_names(sigma, inames)
     rep = m.fiber_report(sigma_idx)
     em = Emitter(fmt)
-    em.add("sigma", data.cone_name(tnames, rep.sigma))
+    em.add("sigma", data.cone_name(inames, rep.sigma))
     em.add("stratum_cones", len(rep.sigma_prime_set))
     em.add("index", rep.index)
     em.add("components", len(rep.components))
@@ -272,11 +280,12 @@ def morphism_fibers(map_path, source_path, target_path, sigma, fmt):
 @fmt_option
 def morphism_stratify(map_path, source_path, target_path, fmt):
     m, snames, tnames = _morphism(map_path, source_path, target_path)
+    inames = _image_names(m, tnames)
     em = Emitter(fmt)
     for sigma, rep in m.flattening_stratification():
         prim = " ".join(data.cone_name(snames, t) for t in rep.primitive)
         labels = " ".join(c.label for c in rep.components)
-        em.add(data.cone_name(tnames, sigma),
+        em.add(data.cone_name(inames, sigma),
                f"Ind={rep.index} primitive=[{prim}] components=[{labels}]")
     em.flush()
 

@@ -466,11 +466,7 @@ def _index(snf: SmithDecomposition, target_rank: int):
 
 def kernel_basis(f: LatticeMap) -> list[Vec]:
     """Basis of ker(f) in the source lattice; the result is saturated."""
-    if not f.target_rank:       # no rows tell smith_normal_form the width
-        return [tuple(r) for r in _identity(f.source_rank)]
-    snf = smith_normal_form(f.matrix)
-    return [tuple(row[j] for row in snf.Vinv)
-            for j in range(snf.rank, f.source_rank)]
+    return list(kernel_coords(f)[0].basis)
 
 
 @dataclass(frozen=True)
@@ -525,7 +521,7 @@ def section_of_surjection(f: LatticeMap) -> LatticeMap:
     f is onto exactly when its Smith form has one diagonal entry per
     target row and every diagonal entry is 1.
     """
-    if not f.target_rank:       # the map to a point; see kernel_basis
+    if not f.target_rank:       # the map to a point; see kernel_coords
         return LatticeMap.from_rows([()] * f.source_rank)
     snf = smith_normal_form(f.matrix)
     if snf.rank < f.target_rank or any(d != 1 for d in snf.diagonal):
@@ -591,11 +587,11 @@ class SublatticeCoords:
 
 def kernel_coords(f: LatticeMap) -> tuple[SublatticeCoords, object]:
     """(ker f with its coordinates, [target : image]) off one Smith form
-    f = U S V of rank r.  The kernel basis is columns r.. of V^-1, the one
-    `kernel_basis` returns, and rows r.. of V are its left inverse at
-    scale 1, since V V^-1 = I; the index is `cokernel_index`'s."""
+    f = U S V of rank r.  The kernel basis is columns r.. of V^-1, and
+    rows r.. of V are its left inverse at scale 1, since V V^-1 = I; the
+    index is `cokernel_index`'s."""
     n = f.source_rank
-    if not f.target_rank:       # see kernel_basis
+    if not f.target_rank:       # no rows tell smith_normal_form the width
         ident = tuple(tuple(r) for r in _identity(n))
         return SublatticeCoords(ident, ident, 1), 1
     snf = smith_normal_form(f.matrix)

@@ -26,7 +26,7 @@ from .intlinalg import (INFINITE, InvariantError, LatticeMap,
                         mat_rank, mat_vec, primitivize, quotient_lattice,
                         saturate_columns, smith_normal_form, vdot)
 from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
-                        orthogonal_complement_basis, support_vertices)
+                        orthogonal_complement_basis)
 from .surfaces import UNKNOWN, identify_surface
 
 EMPTY = "EMPTY"
@@ -190,14 +190,17 @@ class FanMap:
 
     @cached_property
     def _image_data(self):
-        """(image fan, phi in image coords)."""
+        """(image fan, phi in image coords, the image lattice's basis in
+        the target lattice).  Below full rank the basis is columns ..r of
+        U in phi = U S V of rank r, so rows ..r of U^-1 are its left
+        inverse."""
         snf = smith_normal_form(self.phi.matrix)
         r = snf.rank
         n = self.target.rank
         if r == n:
-            return self.target, self.phi
-        basis = [tuple(snf.U[i][j] for i in range(n)) for j in range(r)]
-        in_image = SublatticeCoords.of(basis)
+            return self.target, self.phi, LatticeMap.identity(n).matrix
+        basis = tuple(tuple(snf.U[i][j] for i in range(n)) for j in range(r))
+        in_image = SublatticeCoords(basis, snf.Uinv[:r], 1)
         cones = []
         span_rows = orthogonal_complement_basis(basis, n)
         for idx in self.target.maximal_cones or [()]:
@@ -218,7 +221,8 @@ class FanMap:
                 raise InvariantError(
                     f"image lattice: phi column {col} is outside the image")
             phi_img_cols.append(coords)
-        return fan_from_cones(r, cones), LatticeMap.from_columns(phi_img_cols)
+        return (fan_from_cones(r, cones), LatticeMap.from_columns(phi_img_cols),
+                basis)
 
     def image_fan(self) -> Fan:
         return self._image_data[0]
@@ -226,6 +230,20 @@ class FanMap:
     @property
     def _phi_img(self) -> LatticeMap:
         return self._image_data[1]
+
+    def image_ray_carriers(self) -> list[tuple[int, ...]]:
+        """Per ray of the image fan, the target cone whose relative
+        interior holds it: the ray itself when the image fan is the
+        target.  A subspace meets the relative interior of a cone it does
+        not contain in at most one ray, so no two image rays share one."""
+        fan, _, basis = self._image_data
+        out = [self.target.locate_relint(lin_comb(r, basis, self.target.rank))
+               for r in fan.rays]
+        if None in out:
+            raise InvariantError(f"image lattice: image ray "
+                                 f"{fan.rays[out.index(None)]} is outside "
+                                 f"the target fan")
+        return out
 
     def is_surjective_real(self) -> bool:
         return mat_rank(self.phi.matrix) == self.target.rank
@@ -489,13 +507,13 @@ class FanMap:
         are minimized.
         """
         sigma_idx = tuple(sorted(sigma_idx))
-        support_vertices(polytope, self.source)  # raises if it does not refine
+        polytope.support_vertices(self.source)  # raises if it does not refine
         vert_index = {v: i for i, v in enumerate(polytope.vertices)}
         rays = self.source.rays
         face_sets = {}
         for sp in self.sigma_prime_of(sigma_idx):
             fs = frozenset(vert_index[v] for v in
-                           polytope.face_vertices([rays[i] for i in sp]))
+                           polytope.face([rays[i] for i in sp])[0])
             if not fs:
                 raise InvariantError(
                     f"lighted part over sigma {sigma_idx}: the stratum cone "

@@ -43,8 +43,8 @@ class Polytope:
         # the census: lattice point -> tight-facet bitmask, in scan order
         self._lattice_points: dict[Vec, int] | None = None
         self._ray_faces: dict[Vec, int] = {}
-        # fans that restriction_polytope found to refine the normal fan,
-        # with their support vertices
+        # the fans found to refine the normal fan, with their support
+        # vertices (see support_vertices)
         self._refining_fans = weakref.WeakKeyDictionary()
 
     @property
@@ -116,10 +116,6 @@ class Polytope:
         """The lattice points tight on every facet in the mask."""
         return sum(k for m, k in self.census.items() if m & mask == mask)
 
-    def face_point_count(self, rays) -> int:
-        """Lattice points of the face the rays cut out (see `face`)."""
-        return self.tight_point_count(self.face(rays)[1])
-
     def _scan(self) -> dict[Vec, int]:
         lo, hi = self.bounding_box()
         rows = list(self.equations)
@@ -188,31 +184,44 @@ class Polytope:
                              if vdot(n, v) == -c))
         return out
 
-    def face_vertices(self, rays) -> list[Vec]:
-        """The vertices minimising every given ray: the vertices of the
-        face the rays cut out when one vertex minimises them all, none
-        when no vertex does, and all of them for no ray."""
-        return [self.vertices[i] for i in self._face_indices(rays)]
-
     def face(self, rays) -> tuple[tuple[Vec, ...], int]:
-        """(vertices, facet mask) of the face the rays cut out: its
-        vertices are `face_vertices(rays)`, and the mask, the AND of their
-        facet masks, holds the facets through the face.  A nonempty face
-        is the intersection of P with those facets, or P itself when there
-        are none (Ziegler, Lectures on Polytopes, section 2.1), so its
-        lattice points are those whose census mask holds the face's.  An
-        empty face gets the mask -1, which no point's mask holds."""
-        idx = self._face_indices(rays)
+        """(vertices, facet mask) of the face the rays cut out.  Its
+        vertices are those minimising every ray: none when no vertex
+        minimises them all, and every vertex for no ray.  The mask, the
+        AND of their facet masks, holds the facets through the face.  A
+        nonempty face is the intersection of P with those facets, or P
+        itself when there are none (Ziegler, Lectures on Polytopes,
+        section 2.1), so its lattice points are those whose census mask
+        holds the face's (`tight_point_count`).  An empty face gets the
+        mask -1, which no point's mask holds."""
+        face = (1 << len(self.vertices)) - 1
+        for r in rays:
+            face &= self._ray_face(r)
+        idx = [i for i in range(len(self.vertices)) if face >> i & 1]
         mask = -1
         for i in idx:
             mask &= self._vertex_masks[i]
         return tuple(self.vertices[i] for i in idx), mask
 
-    def _face_indices(self, rays) -> list[int]:
-        face = (1 << len(self.vertices)) - 1
-        for r in rays:
-            face &= self._ray_face(r)
-        return [i for i in range(len(self.vertices)) if face >> i & 1]
+    def support_vertices(self, fan: Fan) -> dict:
+        """Maximal cone of the fan -> its support vertex, the one vertex
+        minimising every ray of the cone.  A cone lies in the normal cone
+        of a vertex exactly when that vertex is the only one minimising
+        all its rays, so this raises unless the fan refines the normal
+        fan of P.  The table is built on the first call for a fan and
+        kept with the polytope, weakly, so a fan is not kept alive by it.
+        Callers read it and do not change it."""
+        support = self._refining_fans.get(fan)
+        if support is None:
+            support = {}
+            for idx in fan.maximal_cones:
+                face, _ = self.face([fan.rays[i] for i in idx])
+                if len(face) != 1:
+                    raise ValueError(
+                        "fan does not refine the normal fan of the polytope")
+                support[idx] = face[0]
+            self._refining_fans[fan] = support
+        return support
 
     @cached_property
     def _vertex_masks(self) -> tuple[int, ...]:
@@ -279,31 +288,20 @@ def normal_fan(p: Polytope) -> Fan:
 
 @dataclass(frozen=True)
 class SubspaceChart:
-    """Affine chart origin + B y identifying a saturated sublattice slice;
-    `coords` maps a vector of the slice's lattice to y through an integer
-    left inverse of B."""
+    """Affine chart origin + B y on a saturated sublattice slice, B having
+    the basis of `coords` as columns; `coords` maps a vector of the
+    slice's lattice to y through an integer left inverse of B."""
 
     origin: Vec
-    basis: tuple[Vec, ...]
-    coords: SublatticeCoords = field(init=False, repr=False, compare=False)
+    coords: SublatticeCoords
 
     def __post_init__(self):
-        coords = SublatticeCoords.of(self.basis)  # ValueError if dependent
-        if coords.scale != 1:
+        if self.coords.scale != 1:
             raise ValueError("chart basis does not span a saturated sublattice")
-        object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def on_kernel(cls, origin: Vec,
-                  kernel: SublatticeCoords) -> "SubspaceChart":
-        """The chart at origin on a kernel read by `kernel_coords`, whose
-        basis is saturated and whose coordinates come with it at scale 1,
-        so no second Smith form checks it."""
-        chart = object.__new__(cls)
-        for name, value in (("origin", origin), ("basis", kernel.basis),
-                            ("coords", kernel)):
-            object.__setattr__(chart, name, value)
-        return chart
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        return self.coords.basis
 
     def to_chart(self, point) -> Vec:
         """Chart coordinates y, with lin_comb(y, basis) == point - origin."""
@@ -318,17 +316,15 @@ class SubspaceChart:
 
 @dataclass(frozen=True)
 class RestrictedPolytope:
-    """The face of `ambient` cut out by the rays of tau, in the chart of
-    tau's orthogonal complement at a vertex of that face: the chart points
-    that `ambient` contains.  It keeps the face's vertices in ambient
-    coordinates and its facet mask, both from `ambient.face(tau_rays)`;
-    its vertices are charted on first use, and
-    `ambient.tight_point_count(face_mask)` counts its lattice points with
-    no chart; `polytope`, the charted hull, is built only when asked for."""
+    """The face of a polytope P cut out by the rays of a cone tau, in the
+    chart of tau's orthogonal complement at a vertex of that face: the
+    chart points that P contains.  It keeps the face's vertices in P's
+    coordinates and its facet mask, both from `P.face`; its vertices are
+    charted on first use, and `P.tight_point_count(face_mask)` counts its
+    lattice points with no chart; `polytope`, the charted hull, is built
+    only when asked for."""
 
-    ambient: Polytope = field(repr=False)
     chart: SubspaceChart
-    tau_rays: tuple[Vec, ...] = field(repr=False)
     face: tuple[Vec, ...] = field(repr=False)
     face_mask: int = field(repr=False)
 
@@ -343,29 +339,7 @@ class RestrictedPolytope:
 
 def orthogonal_complement_basis(vectors, rank: int) -> list[Vec]:
     """Basis of {m : <m, v> = 0 for all given v}, saturated in Z^rank."""
-    if not vectors:
-        return [tuple(1 if i == j else 0 for j in range(rank))
-                for i in range(rank)]
-    return kernel_basis(LatticeMap.from_rows([list(v) for v in vectors]))
-
-
-def support_vertex(p: Polytope, fan: Fan, cone_idx) -> Vec:
-    """The vertex of P minimising every ray of a cone of the fan.
-
-    The cone lies in the normal cone of a vertex exactly when that vertex
-    is the only one minimising all its rays; otherwise the fan does not
-    refine the normal fan of P.
-    """
-    face = p.face_vertices([fan.rays[i] for i in cone_idx])
-    if len(face) != 1:
-        raise ValueError("fan does not refine the normal fan of the polytope")
-    return face[0]
-
-
-def support_vertices(p: Polytope, fan: Fan) -> dict:
-    """Maximal cone -> support vertex; raises unless the fan refines the
-    normal fan of P."""
-    return {idx: support_vertex(p, fan, idx) for idx in fan.maximal_cones}
+    return kernel_basis(LatticeMap._shaped(vectors, rank))
 
 
 def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolytope:
@@ -383,9 +357,7 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     tau_idx = tuple(sorted(tau_idx))
     if not ref_fan.has_cone(tau_idx):
         raise ValueError("tau is not a cone of the fan")
-    support = p._refining_fans.get(ref_fan)
-    if support is None:
-        support = p._refining_fans[ref_fan] = support_vertices(p, ref_fan)
+    support = p.support_vertices(ref_fan)
     # the maximal cones are sorted, and tau, a cone of the fan, is a face
     # of each one that holds its rays
     top = next((c for c in ref_fan.maximal_cones if set(tau_idx) <= set(c)),
@@ -395,8 +367,7 @@ def restriction_polytope(p: Polytope, tau_idx, ref_fan: Fan) -> RestrictedPolyto
     origin = support[top]
     tau_rays = tuple(ref_fan.rays[i] for i in tau_idx)
     kernel, _ = kernel_coords(LatticeMap._shaped(tau_rays, p.ambient_rank))
-    return RestrictedPolytope(p, SubspaceChart.on_kernel(origin, kernel),
-                              tau_rays, *p.face(tau_rays))
+    return RestrictedPolytope(SubspaceChart(origin, kernel), *p.face(tau_rays))
 
 
 def interior_lattice_points(p: Polytope) -> list[Vec]:

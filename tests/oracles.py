@@ -149,7 +149,7 @@ def chart_first_restriction(s, tau_idx, p, fan):
             y = restriction.chart.to_chart(e)
         except ValueError:
             continue
-        if restriction.ambient.contains(restriction.chart.from_chart(y)):
+        if p.contains(restriction.chart.from_chart(y)):
             kept[y] = c
     return LaurentSection.from_dict(kept)
 
@@ -160,7 +160,7 @@ def pinned_restriction(s, tau_idx, p, fan):
     the chart origin and P's inequalities hold at it."""
     restriction = restriction_polytope(p, tau_idx, fan)
     chart = restriction.chart
-    pins = [(r, vdot(r, chart.origin)) for r in restriction.tau_rays]
+    pins = [(fan.rays[i], vdot(fan.rays[i], chart.origin)) for i in tau_idx]
     return LaurentSection.from_dict(
         {chart.to_chart(e): c for e, c in s.terms
          if all(vdot(r, e) == h for r, h in pins) and p.contains(e)})

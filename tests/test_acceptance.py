@@ -379,7 +379,7 @@ def test_criterion_09_projected_normal_fans():
 
 
 def _star_refines_normal_fan(proj, star_fan):
-    return all(proj.face_vertices([star_fan.rays[i] for i in cidx])
+    return all(proj.face([star_fan.rays[i] for i in cidx])[0]
                for cidx in star_fan.maximal_cones)
 
 

@@ -94,7 +94,7 @@ def test_discriminant_homogeneous_scaling():
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for _ in shape.support]
         scaled = discriminant_eval(shape, [lam * c for c in coeffs])
-        assert scaled == lam ** shape.degree() * discriminant_eval(shape, coeffs)
+        assert scaled == lam ** shape.homogeneity * discriminant_eval(shape, coeffs)
 
 
 def test_discriminant_wrong_arity():
@@ -127,7 +127,7 @@ def test_discriminant_formulas_are_the_term_table_as_polynomials():
         formula = sympy.expand(shape.formula(c))
         assert formula == sympy.expand(tabulated_discriminant(label, c))
         poly = sympy.Poly(formula, *c.values())
-        assert {sum(m) for m in poly.monoms()} == {shape.degree()}
+        assert {sum(m) for m in poly.monoms()} == {shape.homogeneity}
 
 
 def test_intersection_table_cp2():

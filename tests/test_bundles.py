@@ -1,5 +1,6 @@
 import random
 import re
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -19,8 +20,7 @@ from toricfiber.intlinalg import (LatticeMap, dual_map, kernel_basis,
                                   smith_normal_form, vadd, vdot, vsub)
 from toricfiber.morphism import FanMap
 from toricfiber.polytopes import (Polytope, SubspaceChart, lattice_points,
-                                  normal_fan, restriction_polytope,
-                                  support_vertices)
+                                  normal_fan, restriction_polytope)
 
 
 def cp2_setup():
@@ -30,32 +30,32 @@ def cp2_setup():
 
 
 # A line bundle on a fan refining the normal fan of P is its Cartier data:
-# the support vertex of P on each maximal cone, as support_vertices gives it.
+# the support vertex of P on each maximal cone, as P.support_vertices gives it.
 
 def test_plf_reflexive_anticanonical():
     # the anticanonical weights pair to -1 with every ray of every cone
     p = data.section_polytope()
     fan = data.total_fan()
-    h = support_vertices(p, fan)
+    h = p.support_vertices(fan)
     assert len(h) == len(fan.maximal_cones) == 54
     assert all(vdot(h[c], fan.rays[i]) == -1 for c in h for i in c)
 
 
 def test_plf_round_trip():
     p = data.section_polytope()
-    assert Polytope(support_vertices(p, data.total_fan()).values()) == p
+    assert Polytope(p.support_vertices(data.total_fan()).values()) == p
     fan, tri = cp2_setup()
-    assert Polytope(support_vertices(tri, fan).values()) == tri
+    assert Polytope(tri.support_vertices(fan).values()) == tri
 
 
 def test_plf_point_is_principal():
     # principal: one weight on every cone, a global character
     fan, _ = cp2_setup()
-    h = support_vertices(Polytope([(3, -2)]), fan)
+    h = Polytope([(3, -2)]).support_vertices(fan)
     assert set(h.values()) == {(3, -2)}
     segment_fan = Fan(1, [(1,), (-1,)], [[0], [1]])
     seg = Polytope([(0,), (1,)])
-    h = support_vertices(seg, segment_fan)
+    h = seg.support_vertices(segment_fan)
     assert len(set(h.values())) == 2
     assert Polytope(h.values()) == seg
 
@@ -66,7 +66,7 @@ def test_plf_rejects_non_refining_fan():
                      [[0, 1], [1, 2], [2, 3], [3, 0]])
     _, tri = cp2_setup()
     with pytest.raises(ValueError):
-        support_vertices(tri, quad)
+        tri.support_vertices(quad)
 
 
 def test_refinement_checks_every_ray():
@@ -79,18 +79,49 @@ def test_refinement_checks_every_ray():
     with pytest.raises(ValueError, match="does not refine"):
         pullback_bundle(m, square)
     with pytest.raises(ValueError, match="does not refine"):
-        support_vertices(square, wedge)
+        square.support_vertices(wedge)
     with pytest.raises(ValueError, match="does not refine"):
         m.lighted_part(square, (0, 1))
+
+
+def test_support_table_is_built_once_per_fan(monkeypatch):
+    # restriction_polytope, lighted_part and pullback_bundle on one
+    # (P, fan) pair read the one table the polytope keeps for the fan: the
+    # face of each maximal cone is read once, by the one table build
+    p = Polytope([(0, 0), (2, 0), (0, 1), (1, 1)])
+    fan = normal_fan(p)
+    m = FanMap(LatticeMap.identity(2), fan, fan)
+    built, faces = [], []
+    face = Polytope.face
+
+    class CountedTable(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    def counted(self, rays):
+        faces.append(tuple(rays))
+        return face(self, rays)
+
+    p._refining_fans = CountedTable()
+    monkeypatch.setattr(Polytope, "face", counted)
+    for _ in range(3):
+        restriction_polytope(p, (0,), fan)
+        m.lighted_part(p, (0,))
+        assert pullback_bundle(m, p) == p
+    assert built == [fan]
+    tops = [tuple(fan.rays[i] for i in c) for c in fan.maximal_cones]
+    assert sorted(f for f in faces if f in tops) == sorted(tops)
+    assert sorted(p.support_vertices(fan).values()) == sorted(p.vertices)
 
 
 def test_same_bundle_linear_shift():
     # the same bundle: the weights differ by one character on every cone
     fan, tri = cp2_setup()
-    h1 = support_vertices(tri, fan)
+    h1 = tri.support_vertices(fan)
 
     def differences(q):
-        h2 = support_vertices(q, fan)
+        h2 = q.support_vertices(fan)
         return {vsub(h2[c], h1[c]) for c in h1}
 
     shifted = Polytope([(v[0] + 2, v[1] - 1) for v in tri.vertices])
@@ -132,7 +163,7 @@ def test_section_restriction_computes_no_vertices():
     restricted, restriction = restrict_section_to_orbit_closure(s, tau, p, fan)
     assert "polytope" not in restriction.__dict__
     assert len(restricted) == 11
-    assert all(restriction.ambient.contains(restriction.chart.from_chart(y))
+    assert all(p.contains(restriction.chart.from_chart(y))
                for y, _ in restricted.terms)
     assert restriction.polytope.vertices == expected.vertices
 

@@ -159,6 +159,29 @@ def test_stratify_from_a_point(tmp_path):
     assert out == "0: Ind=1 primitive=[0] components=[point]\n"
 
 
+def test_image_rays_are_named_after_their_target_cones(tmp_path):
+    # P^1 onto the x-axis of CP2: the image ray (-1, 0) is no target ray
+    # but lies inside the cone y.z, so it is named y+z, and y names nothing
+    out = stratify_structured(
+        tmp_path, map="toricfiber lattice_map v1\nrows 2\ncols 1\n"
+                      "row 1\nrow 0\n",
+        source="toricfiber fan v1\nrank 1\nray a 1\nray b -1\n"
+               "cone a\ncone b\n",
+        target="toricfiber fan v1\nrank 2\nray x 1 0\nray y 0 1\n"
+               "ray z -1 -1\ncone x y\ncone y z\ncone z x\n")
+    assert out == ("0: Ind=1 primitive=[0] components=[point]\n"
+                   "x: Ind=1 primitive=[a] components=[point]\n"
+                   "y+z: Ind=1 primitive=[b] components=[point]\n")
+    paths = [f"--{name}={tmp_path / name}" for name in ("map", "source",
+                                                          "target")]
+    out = run("morphism", "fibers", *paths, "--sigma", "y+z",
+              "--format", "structured").output
+    assert out.startswith("sigma: y+z\n") and "component b: point" in out
+    res = CliRunner().invoke(cli, ["morphism", "fibers", *paths,
+                                   "--sigma", "y"])
+    assert res.exit_code != 0 and "unknown ray name 'y'" in res.output
+
+
 def test_fan_check_drops_a_listed_face(tmp_path):
     path = tmp_path / "p1.fan"
     path.write_text("toricfiber fan v1\nrank 1\nray a 1\nray b -1\n"

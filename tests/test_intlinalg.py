@@ -397,7 +397,8 @@ def test_integer_paths_build_no_fraction(monkeypatch):
     m = FanMap(data.projection(), data.total_fan(), data.base_fan())
     assert len(m.flattening_stratification()) == 33
     assert m.is_fibration().is_fibration
-    chart = SubspaceChart((1, 1, 1), ((1, 1, 0), (0, 1, 0)))
+    chart = SubspaceChart((1, 1, 1), SublatticeCoords.of(((1, 1, 0),
+                                                          (0, 1, 0))))
     assert chart.to_chart((2, 5, 1)) == (1, 3)
     for label in CATALOG_RAYS:
         assert identify_surface(catalog_fan(label)) == label

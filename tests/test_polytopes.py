@@ -13,13 +13,12 @@ from strategies import polytopes, subdivided, wide_cones, with_refinement
 from toricfiber import data
 from toricfiber.analysis import facet_interior_sum
 from toricfiber.fans import Fan
-from toricfiber.intlinalg import lin_comb, vadd, vdot, vsub
+from toricfiber.intlinalg import SublatticeCoords, lin_comb, vadd, vdot, vsub
 from toricfiber.polytopes import (Polytope, SubspaceChart, dual_polytope,
                                   face_polytope, interior_lattice_points,
                                   is_reflexive, lattice_points, normal_fan,
                                   orthogonal_complement_basis,
-                                  restriction_polytope, support_vertex,
-                                  support_vertices)
+                                  restriction_polytope)
 
 
 def test_unit_square_from_five_points():
@@ -192,7 +191,7 @@ def test_restriction_checks_every_maximal_cone():
     # the cone {1, 2} has none, so the fan does not refine the square's
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     f = Fan(2, [(1, 0), (1, 1), (-1, 2)], [[0, 1], [1, 2]])
-    assert support_vertex(square, f, (0, 1)) == (0, 0)
+    assert square.face([f.rays[i] for i in (0, 1)])[0] == ((0, 0),)
     for _ in range(2):
         with pytest.raises(ValueError, match="does not refine"):
             restriction_polytope(square, (0,), f)
@@ -210,7 +209,7 @@ def test_restriction_translation_stability():
     tops = [c for c in total.maximal_cones if total.is_face(tau, c)]
     base_pts = None
     for top in tops:
-        origin, = p.face_vertices([total.rays[i] for i in top])
+        (origin,), _ = p.face([total.rays[i] for i in top])
         q = restrict_to_subspace(p, origin, r.chart.basis)
         pts = sorted(lattice_points(q))
         anchored = [tuple(x - y for x, y in zip(pt, pts[0])) for pt in pts]
@@ -282,7 +281,8 @@ def test_lattice_points_match_oracles(p):
 def _assert_face_counts_match_restrictions(p, fan, cones):
     for tau in cones:
         r = restriction_polytope(p, tau, fan)
-        assert p.face_point_count(r.tau_rays) == \
+        _, mask = p.face([fan.rays[i] for i in tau])
+        assert p.tight_point_count(mask) == \
             len(lattice_points(r.polytope)), tau
         assert r.vertices == r.polytope.vertices
 
@@ -309,15 +309,15 @@ def test_cached_ray_minima_carry_no_refinement_verdict():
     # the refining fan pairs the square with the rays of the wedge first,
     # so the wedge is checked against minima kept from another fan
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert sorted(support_vertices(square, normal_fan(square)).values()) \
+    assert sorted(square.support_vertices(normal_fan(square)).values()) \
         == sorted(square.vertices)
     refining = Fan(2, [(1, 0), (3, 2), (0, 1), (-1, 0), (0, -1), (1, -1)],
                    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    assert set(support_vertices(square, refining).values()) \
+    assert set(square.support_vertices(refining).values()) \
         == set(square.vertices)
     wedge = Fan(2, [(3, 2), (1, -1)], [(0, 1)])
     with pytest.raises(ValueError, match="does not refine"):
-        support_vertices(square, wedge)
+        square.support_vertices(wedge)
 
 
 def _assert_restrictions_match_h_description(p, fan):
@@ -354,9 +354,10 @@ def test_restriction_is_the_face_on_named_fans():
 @settings(max_examples=150, deadline=None)
 @given(polytopes().filter(lambda p: p.is_full_dimensional), st.data())
 def test_support_vertex_matches_the_ray_sum_rule(p, picks):
-    """The same vertex or the same rejection as the ray-sum rule, on every
-    cone of refining fans and of the fans of another polytope, which
-    mostly do not refine the normal fan of p."""
+    """The same one-vertex face or the same rejection as the ray-sum rule,
+    on every cone of refining fans and of the fans of another polytope,
+    which mostly do not refine the normal fan of p; the support table
+    holds the rule's vertex on every maximal cone, or is refused."""
     point = st.tuples(*[st.integers(-2, 2)] * p.ambient_rank)
     other = Polytope(picks.draw(st.lists(point, min_size=1, max_size=7)))
     fans = with_refinement(normal_fan(p), picks)
@@ -365,11 +366,18 @@ def test_support_vertex_matches_the_ray_sum_rule(p, picks):
     for fan in fans:
         for cone in fan.all_cone_indices:
             expected = ray_sum_support_vertex(p, fan, cone)
+            face, _ = p.face([fan.rays[i] for i in cone])
             if expected is None:
-                with pytest.raises(ValueError, match="does not refine"):
-                    support_vertex(p, fan, cone)
+                assert len(face) != 1
             else:
-                assert support_vertex(p, fan, cone) == expected
+                assert face == (expected,)
+        table = {c: ray_sum_support_vertex(p, fan, c)
+                 for c in fan.maximal_cones}
+        if None in table.values():
+            with pytest.raises(ValueError, match="does not refine"):
+                p.support_vertices(fan)
+        else:
+            assert p.support_vertices(fan) == table
 
 
 def test_facet_interior_sum_on_named_polytopes():
@@ -396,7 +404,7 @@ def test_to_chart_matches_sublattice_coords(picks):
     tau = picks.draw(st.lists(vec, max_size=d))
     basis = tuple(orthogonal_complement_basis(tau, d))
     origin = picks.draw(vec)
-    chart = SubspaceChart(origin, basis)
+    chart = SubspaceChart(origin, SublatticeCoords.of(basis))
     coeffs = picks.draw(st.tuples(*[st.integers(-4, 4)] * len(basis)))
     step = lin_comb(coeffs, basis, d)
     on_chart = vadd(origin, step)
@@ -415,12 +423,13 @@ def test_to_chart_matches_sublattice_coords(picks):
 
 def test_chart_needs_a_saturated_basis():
     with pytest.raises(ValueError):
-        SubspaceChart((0, 0), ((2, 0),))
+        SubspaceChart((0, 0), SublatticeCoords.of(((2, 0),)))
     with pytest.raises(ValueError):
-        SubspaceChart((0, 0, 0), ((1, 1, 0), (1, -1, 0)))
+        SubspaceChart((0, 0, 0), SublatticeCoords.of(((1, 1, 0), (1, -1, 0))))
     with pytest.raises(ValueError):
-        SubspaceChart((0, 0), ((1, 0), (2, 0)))
-    chart = SubspaceChart((1, 1, 1), ((1, 1, 0), (0, 1, 0)))
+        SubspaceChart((0, 0), SublatticeCoords.of(((1, 0), (2, 0))))
+    chart = SubspaceChart((1, 1, 1), SublatticeCoords.of(((1, 1, 0),
+                                                          (0, 1, 0))))
     assert chart.to_chart((2, 5, 1)) == (1, 3)
     with pytest.raises(ValueError):
         chart.to_chart((2, 5, 2))
