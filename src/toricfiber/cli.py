@@ -251,7 +251,7 @@ def morphism_image(map_path, source_path, target_path, fmt):
 
 @morphism.command("fibers")
 @add_options(map_options)
-@click.option("--sigma", required=True, help="target cone ray names, e.g. 'r1'")
+@click.option("--sigma", required=True, help="image-fan cone names, e.g. 'r1'")
 @fmt_option
 def morphism_fibers(map_path, source_path, target_path, sigma, fmt):
     m, snames, tnames = _morphism(map_path, source_path, target_path)
@@ -388,7 +388,8 @@ def polytope_project(input_path, tau, sigma, fmt):
     tau_idx = _cone_from_names(tau, snames)
     sigma_idx = _cone_from_names(sigma, tnames)
     r = restriction_polytope(p, tau_idx, m.source)
-    proj, star = m.project_polytope(r, tau_idx, sigma_idx)
+    star = m.relative_star(tau_idx, sigma_idx)
+    proj = m.project_polytope(r, star)
     em = Emitter(fmt)
     em.add("tau", data.cone_name(snames, tau_idx))
     em.add("sigma", data.cone_name(tnames, sigma_idx))
@@ -614,7 +615,7 @@ def pipeline_report_lines() -> list[str]:
             r = restriction_polytope(p, tau, m.source)
             hull_ids = sorted(vno[v] for v in r.face)
             count = p.tight_point_count(r.face_mask)
-            proj, _ = m.project_polytope(r, tau, sigma)
+            proj = m.project_polytope(r, comp.star)
             out.append(f"{data.cone_name(snames, tau):16s} "
                        f"hull={','.join(str(i) for i in hull_ids):24s} "
                        f"points={count:5d} fiber_points="

@@ -532,19 +532,17 @@ class FanMap:
 
     # -- polytope projection -------------------------------------------------------
 
-    def project_polytope(self, restriction: RestrictedPolytope, tau_idx,
-                         sigma_idx):
-        """Image of a restriction polytope in the fiber quotient coordinates.
-
-        Returns (polytope, relative_star); the polytope lives in the
-        coordinates dual to the relative star's quotient basis and is the
-        hull of the images of the restriction's charted vertices, so the
-        restriction's own hull is never built.
+    def project_polytope(self, restriction: RestrictedPolytope,
+                         star: RelativeStar) -> Polytope:
+        """Image of a restriction polytope, cut along the star's tau, in
+        the fiber quotient coordinates of a relative star the caller
+        already holds (`relative_star(tau, sigma)`, or a fiber component's
+        `star`).  The polytope lives in the coordinates dual to the star's
+        quotient basis and is the hull of the images of the restriction's
+        charted vertices, so the restriction's own hull is never built.
         """
-        star = self.relative_star(tau_idx, sigma_idx)
         matrix = star.fiber_matrix(restriction.chart)
-        verts = [mat_vec(matrix, v) for v in restriction.vertices]
-        return Polytope(verts), star
+        return Polytope([mat_vec(matrix, v) for v in restriction.vertices])
 
 
 def star(f: Fan, tau_idx) -> Fan:

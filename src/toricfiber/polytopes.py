@@ -11,6 +11,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .fans import Cone, Fan, fan_from_cones
 from .intlinalg import (SublatticeCoords, Vec, kernel_basis, kernel_coords,
@@ -40,7 +41,8 @@ class Polytope:
             sorted((n[1:], n[0]) for n in normals if any(n[1:])))
         self.equations: tuple[tuple[Vec, int], ...] = tuple(
             sorted((e[1:], e[0]) for e in eqs))
-        # the census: lattice point -> tight-facet bitmask, in scan order
+        # the census: lattice point -> tight-facet bitmask, in
+        # lexicographic order
         self._lattice_points: dict[Vec, int] | None = None
         self._ray_faces: dict[Vec, int] = {}
         # the fans found to refine the normal fan, with their support
@@ -83,7 +85,11 @@ class Polytope:
         interval of values from which the rest of the box can still
         satisfy them all, so a prefix that no box point completes is never
         extended, and at the last coordinate that interval is the run of
-        lattice points itself.  The scan keeps each point in the census
+        lattice points itself.  The coordinates are taken from the
+        narrowest box width to the widest (index order on ties), so the
+        widest is the run, read in one step; when that is not the index
+        order, the points are mapped back to the original coordinates and
+        sorted once.  The scan keeps each point in the census
         (`point_masks`) with the bitmask of the facets it is tight on,
         read off the same run: a facet row with a positive coefficient is
         tight at most at the run's first value, one with a negative
@@ -123,6 +129,14 @@ class Polytope:
         first_facet = len(rows)
         rows += self.facets
         last = self.ambient_rank - 1
+        # narrowest box width first, ties in index order: the widest
+        # coordinate is then the run the last level reads in one step
+        order = sorted(range(last + 1), key=lambda i: hi[i] - lo[i])
+        permuted = order != list(range(last + 1))
+        if permuted:
+            pick = itemgetter(*order)
+            lo, hi = pick(lo), pick(hi)
+            rows = [(pick(n), c) for n, c in rows]
         # floors[k][i]: the least value of row i's sum over coordinates
         # 0..k from which coordinates k+1.. of the box can still reach -c
         floors = [None] * (last + 1)
@@ -174,6 +188,10 @@ class Polytope:
                        [s + t * x for s, t in zip(partial, column)])
 
         extend(0, (), [0] * len(rows))
+        if permuted:
+            # back to the original coordinates, in their lexicographic order
+            back = itemgetter(*sorted(range(last + 1), key=order.__getitem__))
+            census = dict(sorted(zip(map(back, census), census.values())))
         return census
 
     def facet_vertex_incidence(self):

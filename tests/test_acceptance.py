@@ -293,7 +293,7 @@ def test_criterion_07_fiber_polytopes():
         rep = m.fiber_report(sigma)
         for comp in rep.components:
             r = restriction_polytope(p, comp.primitive_cone, m.source)
-            proj, _ = m.project_polytope(r, comp.primitive_cone, sigma)
+            proj = m.project_polytope(r, comp.star)
             count = len(lattice_points(proj))
             assert seen_counts.setdefault(comp.label, count) == count
     assert seen_counts == FIBER_COUNTS
@@ -315,7 +315,7 @@ def test_criterion_08_demonstration():
                (4, 4, -2, 0, 1), (6, 3, -3, 1, 1), (6, 4, -3, 1, 1),
                (6, 5, -3, 1, 1), (6, 6, -3, 1, 1)}
     assert {r.chart.from_chart(x) for x in pts} == reference
-    proj, _ = m.project_polytope(r, tau, sigma)
+    proj = m.project_polytope(r, m.relative_star(tau, sigma))
     ppts = lattice_points(proj)
     target = [(0, 0), (1, 0), (2, 0), (3, 0), (3, -1)]
     assert len(ppts) == 5
@@ -347,7 +347,8 @@ def test_criterion_09_projected_normal_fans():
             if not tau:
                 continue
             r = restriction_polytope(p, tau, m.source)
-            proj, star_data = m.project_polytope(r, tau, sigma)
+            star_data = m.relative_star(tau, sigma)
+            proj = m.project_polytope(r, star_data)
             name = frozenset(tnames[i] for i in tau)
             if not _star_refines_normal_fan(proj, star_data.fan):
                 not_refining.append(name)

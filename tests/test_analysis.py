@@ -227,7 +227,8 @@ def test_restricted_bundle_pairings_stretch():
         tau = data.total_cone(name)
         sigma = data.base_cone(sigma_name)
         r = restriction_polytope(p, tau, m.source)
-        proj, star = m.project_polytope(r, tau, sigma)
+        star = m.relative_star(tau, sigma)
+        proj = m.project_polytope(r, star)
         t = intersection_table(star.fan)
         coeffs = [-min(vdot(mm, v) for mm in proj.vertices) for v in t.rays]
         n = len(t.rays)

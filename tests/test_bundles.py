@@ -328,7 +328,7 @@ def test_pullback_commutes_with_fiber_projection():
     pulled = pullback_bundle(inc_map, p)
     from toricfiber.polytopes import restriction_polytope
     r = restriction_polytope(p, (), m.source)
-    proj, _ = m.project_polytope(r, (), ())
+    proj = m.project_polytope(r, star)
     # the restriction chart normalizes by a weight vertex, so the two
     # agree exactly after translating by the pullback of that origin
     shift = dual_map(inc_map.phi).apply(r.chart.origin)
@@ -345,7 +345,7 @@ def test_fibred_form_generic_partition():
     sizes = {f: len(terms) for f, terms in form.groups}
     assert len(sizes) == 7
     assert sum(sizes.values()) == 3365
-    proj, _ = m.project_polytope(form.restriction, (), ())
+    proj = m.project_polytope(form.restriction, m.relative_star((), ()))
     assert sorted(lattice_points(proj)) == sorted(sizes)
 
 
@@ -359,7 +359,8 @@ def test_fibred_form_fiber_keys_on_every_stratum():
     for sigma, _ in m.flattening_stratification():
         for tau in m.primitive_cones(sigma):
             form = fibred_form(s, tau, sigma, m, p)
-            proj, _ = m.project_polytope(form.restriction, tau, sigma)
+            proj = m.project_polytope(form.restriction,
+                                      m.relative_star(tau, sigma))
             assert [f for f, _ in form.groups] == \
                 sorted(lattice_points(proj)), (tau, sigma)
             pairs += 1

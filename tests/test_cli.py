@@ -340,6 +340,23 @@ def test_pipeline_report_reads_each_fact_once(monkeypatch):
         + len(data.RESOLUTION_ORDER)
 
 
+def test_pipeline_report_builds_one_star_per_component(monkeypatch):
+    """The report's 60 fiber components each get one relative star, which
+    the fiber polytope is projected through, and the resolved map one more
+    for its generic fiber."""
+    expected = pipeline_report_lines()
+    stars = []
+    original = FanMap.relative_star
+
+    def counted(self, tau_idx, sigma_idx):
+        stars.append((id(self), tuple(tau_idx), tuple(sigma_idx)))
+        return original(self, tau_idx, sigma_idx)
+
+    monkeypatch.setattr(FanMap, "relative_star", counted)
+    assert pipeline_report_lines() == expected
+    assert len(stars) == len(set(stars)) == 61
+
+
 def src_env():
     """The environment with the checkout's src/ first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -365,7 +365,7 @@ def test_project_polytope_counts():
     for sigma, rep in m.flattening_stratification():
         for comp in rep.components:
             r = restriction_polytope(p, comp.primitive_cone, m.source)
-            proj, _ = m.project_polytope(r, comp.primitive_cone, sigma)
+            proj = m.project_polytope(r, comp.star)
             assert len(lattice_points(proj)) == counts[comp.label]
 
 

@@ -254,6 +254,12 @@ THIN_SIMPLEX = Polytope([(0, 0, 0, 0), (1, 3, 5, 7), (2, 5, 9, 13),
                          (3, 8, 13, 19), (1, 3, 5, 8)])
 NEEDLE = Polytope([(0, 0, 0), (7, 5, 3), (8, 6, 3), (7, 6, 4)])
 SKEW_PLANE_TRIANGLE = Polytope([(0, 0, 0), (6, 5, 11), (7, 6, 13)])
+# box widths 9, 2, 2: the scan takes the first coordinate last
+WIDE_FIRST = Polytope([(0, 0, 0), (9, 1, 0), (0, 2, 1), (5, 0, 2)])
+# a parallelogram with two equation rows and box widths 1, 8, 1, 2: the
+# widest coordinate is the second
+SKEW_PARALLELOGRAM = Polytope([(0, 0, 0, 0), (1, 5, 0, 1), (0, 3, 1, 1),
+                               (1, 8, 1, 2)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,6 +271,8 @@ SKEW_PLANE_TRIANGLE = Polytope([(0, 0, 0), (6, 5, 11), (7, 6, 13)])
 @example(THIN_SIMPLEX)
 @example(NEEDLE)
 @example(SKEW_PLANE_TRIANGLE)
+@example(WIDE_FIRST)
+@example(SKEW_PARALLELOGRAM)
 def test_lattice_points_match_oracles(p):
     pts = p.lattice_points()
     assert pts == box_scan_points(p)
@@ -276,6 +284,27 @@ def test_lattice_points_match_oracles(p):
                  if vdot(n, pt) == -c))
         for pt in pts]
     assert sum(p.census.values()) == len(pts)
+
+
+@pytest.mark.parametrize("order", [(4, 3, 2, 1, 0), (1, 0, 3, 4, 2),
+                                   (2, 4, 0, 1, 3)])
+def test_census_does_not_depend_on_coordinate_order(order):
+    # the section polytope's box widths are 29, 21, 8, 4 and 3; a copy
+    # with its coordinates permuted has the same census once its points
+    # are permuted back and sorted, and its facets renumbered
+    p = data.section_polytope()
+    copy = Polytope([tuple(v[i] for i in order) for v in p.vertices])
+    assert p.ambient_rank == copy.ambient_rank == len(order)
+    back = [order.index(i) for i in range(len(order))]
+    facet_no = {(tuple(n[i] for i in order), c): j
+                for j, (n, c) in enumerate(p.facets)}
+    renumber = [facet_no[f] for f in copy.facets]
+    census = sorted(
+        (tuple(pt[i] for i in back),
+         sum(1 << k for j, k in enumerate(renumber) if m >> j & 1))
+        for pt, m in copy.point_masks().items())
+    assert list(p.point_masks().items()) == census
+    assert copy.lattice_points() == sorted(copy.lattice_points())
 
 
 def _assert_face_counts_match_restrictions(p, fan, cones):
