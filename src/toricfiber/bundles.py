@@ -21,8 +21,7 @@ from .intlinalg import (InvariantError, LatticeMap, Vec, dual_map, is_zero,
                         mat_mul, mat_transpose, mat_vec, quotient_lattice,
                         saturate_columns, section_of_surjection, vdot, vsub)
 from .morphism import FanMap
-from .polytopes import (Polytope, RestrictedPolytope, lattice_points,
-                        restriction_polytope)
+from .polytopes import Polytope, RestrictedPolytope, restriction_polytope
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class LaurentSection:
 
     @classmethod
     def generic(cls, p: Polytope) -> "LaurentSection":
-        return cls.from_dict({m: f"a{m}" for m in lattice_points(p)})
+        return cls.from_dict({m: f"a{m}" for m in p.lattice_points()})
 
     def __len__(self):
         return len(self.terms)

@@ -8,6 +8,7 @@ stable machine-readable lines with --format structured.  Exit codes:
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -23,36 +24,48 @@ from .documents import (Document, DocumentError, fan_document,
                         fan_from_document, lattice_map_from_document, parse,
                         polytope_document, polytope_from_document, serialize)
 from .fans import fan_equal, singular_locus_cones, star_subdivide
+from .intlinalg import cokernel_index, mat_rank
 from .morphism import EMPTY, FanMap, is_map_of_fans
-from .polytopes import (Polytope, dual_polytope, is_reflexive, lattice_points,
+from .polytopes import (Polytope, dual_polytope, is_reflexive,
                         restriction_polytope)
 from .surfaces import CATALOG_RAYS, catalog_fan
 
 
-class Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.rows: list[tuple[str, str]] = []
+def rows(fn):
+    """A command whose body yields (key, value) rows.  Adds --format and
+    prints the rows once the body has finished, so a failing command
+    prints nothing: a table whose keys are padded to the longest key plus
+    two spaces, or one `key: value` line per row."""
+    @click.option("--format", "fmt", default="table",
+                  type=click.Choice(["table", "structured"]),
+                  help="output style")
+    @functools.wraps(fn)
+    def command(fmt, **options):
+        out = [(str(k), str(v)) for k, v in fn(**options)]
+        width = max((len(k) for k, _ in out), default=0)
+        for k, v in out:
+            click.echo(f"{k}: {v}" if fmt == "structured"
+                       else f"{k.ljust(width)}  {v}")
+    return command
 
-    def add(self, key, value):
-        self.rows.append((str(key), str(value)))
 
-    def flush(self):
-        if self.fmt == "structured":
-            for k, v in self.rows:
-                click.echo(f"{k}: {v}")
-        else:
-            width = max((len(k) for k, _ in self.rows), default=0)
-            for k, v in self.rows:
-                click.echo(f"{k.ljust(width)}  {v}")
-
-
-fmt_option = click.option("--format", "fmt", default="table",
-                          type=click.Choice(["table", "structured"]),
-                          help="output style")
 input_option = click.option("--input", "input_path", default=None,
                             type=click.Path(exists=True),
                             help="input document (defaults to bundled data)")
+
+
+def map_options(fn):
+    """--map, --source and --target: the documents of a map of fans."""
+    for name, what in (("target", "target fan"), ("source", "source fan"),
+                       ("map", "lattice_map")):
+        fn = click.option(f"--{name}", f"{name}_path", default=None,
+                          type=click.Path(exists=True),
+                          help=f"{what} document")(fn)
+    return fn
+
+
+def _vec(v) -> str:
+    return " ".join(str(x) for x in v)
 
 
 def _load(path: str) -> Document:
@@ -85,18 +98,39 @@ def _polytope(input_path, paired=False) -> Polytope:
     return p
 
 
+def _fans(map_path, source_path, target_path):
+    """(phi, source, target, source ray names, target ray names), with the
+    bundled projection and fans for the documents not given."""
+    phi = lattice_map_from_document(_load(map_path)) if map_path \
+        else data.projection()
+    source, snames = _fan_and_names(source_path)
+    target, tnames = fan_from_document(_load(target_path)) if target_path \
+        else (data.base_fan(), data.base_ray_names())
+    return phi, source, target, snames, list(tnames)
+
+
 def _morphism(map_path, source_path, target_path):
     if map_path is None and source_path is None and target_path is None:
         return (data.fibration_map(), data.total_ray_names(),
                 data.base_ray_names())
-    phi = lattice_map_from_document(_load(map_path)) if map_path \
-        else data.projection()
-    source, snames = _fan_and_names(source_path)
-    if target_path is None:
-        target, tnames = data.base_fan(), data.base_ray_names()
-    else:
-        target, tnames = fan_from_document(_load(target_path))
-    return FanMap(phi, source, target), list(snames), list(tnames)
+    phi, source, target, snames, tnames = _fans(map_path, source_path,
+                                                target_path)
+    return FanMap(phi, source, target), snames, tnames
+
+
+def _on_bundled_map(input_path, tau, sigma=None):
+    """Yields the rows that name the source cone `tau` and, when given,
+    the target cone `sigma` of the bundled map, and returns (the --input
+    polytope or the bundled one, the map, tau, sigma or None)."""
+    p = _polytope(input_path, paired=True)
+    m = data.fibration_map()
+    snames, tnames = data.total_ray_names(), data.base_ray_names()
+    tau_idx = _cone_from_names(tau, snames)
+    sigma_idx = None if sigma is None else _cone_from_names(sigma, tnames)
+    yield "tau", data.cone_name(snames, tau_idx)
+    if sigma is not None:
+        yield "sigma", data.cone_name(tnames, sigma_idx)
+    return p, m, tau_idx, sigma_idx
 
 
 def _image_names(m: FanMap, tnames) -> list[str]:
@@ -118,33 +152,28 @@ def _numbers(text: str, option: str, kind=int) -> list:
 
 
 def _cone_from_names(expr: str, names) -> tuple[int, ...]:
-    if expr in ("0", ""):
-        return ()
-    parts = [p for p in expr.replace(",", " ").split() if p]
-    idx = []
-    for p in parts:
+    idx = set()
+    for p in ([] if expr == "0" else expr.replace(",", " ").split()):
         if p not in names:
             raise click.UsageError(f"unknown ray name {p!r}")
-        idx.append(names.index(p))
-    return tuple(sorted(set(idx)))
+        idx.add(names.index(p))
+    return tuple(sorted(idx))
 
 
-map_options = [
-    click.option("--map", "map_path", default=None,
-                 type=click.Path(exists=True), help="lattice_map document"),
-    click.option("--source", "source_path", default=None,
-                 type=click.Path(exists=True), help="source fan document"),
-    click.option("--target", "target_path", default=None,
-                 type=click.Path(exists=True), help="target fan document"),
-]
+def _stratum(rep, snames) -> str:
+    """A stratum's fiber: its index, primitive cones and component labels."""
+    prim = " ".join(data.cone_name(snames, t) for t in rep.primitive)
+    labels = " ".join(c.label for c in rep.components)
+    return f"Ind={rep.index} primitive=[{prim}] components=[{labels}]"
 
 
-def add_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
+def _resolved(fan, phi, target):
+    """The fan's resolution by the bundled rays, inserted in order, and
+    the rays of its generic fiber as text."""
+    rep = resolve_pipeline(fan, [data.RESOLUTION_RAYS[n]
+                                 for n in data.RESOLUTION_ORDER],
+                           phi=phi, target=target)
+    return rep, "; ".join(_vec(r) for r in rep.generic_fiber_rays)
 
 
 @click.group()
@@ -162,40 +191,33 @@ def fan():
 
 @fan.command("check")
 @input_option
-@fmt_option
-def fan_check(input_path, fmt):
-    f, names = _fan_and_names(input_path)
-    em = Emitter(fmt)
-    em.add("rank", f.rank)
-    em.add("rays", len(f.rays))
-    em.add("maximal_cones", len(f.maximal_cones))
-    em.add("cones_total", len(f.all_cone_indices))
-    em.add("f_vector", " ".join(str(x) for x in f.f_vector()))
-    em.add("complete", f.is_complete())
-    em.flush()
+@rows
+def fan_check(input_path):
+    f, _ = _fan_and_names(input_path)
+    yield "rank", f.rank
+    yield "rays", len(f.rays)
+    yield "maximal_cones", len(f.maximal_cones)
+    yield "cones_total", len(f.all_cone_indices)
+    yield "f_vector", _vec(f.f_vector())
+    yield "complete", f.is_complete()
 
 
 @fan.command("smooth")
 @input_option
-@fmt_option
-def fan_smooth(input_path, fmt):
-    f, _ = _fan_and_names(input_path)
-    em = Emitter(fmt)
-    em.add("smooth", f.is_smooth())
-    em.flush()
+@rows
+def fan_smooth(input_path):
+    yield "smooth", _fan_and_names(input_path)[0].is_smooth()
 
 
 @fan.command("singular")
 @input_option
-@fmt_option
-def fan_singular(input_path, fmt):
+@rows
+def fan_singular(input_path):
     f, names = _fan_and_names(input_path)
-    em = Emitter(fmt)
     locus = singular_locus_cones(f)
-    em.add("singular_cones", len(locus))
+    yield "singular_cones", len(locus)
     for idx in locus:
-        em.add(data.cone_name(names, idx), f.cone(idx).multiplicity())
-    em.flush()
+        yield data.cone_name(names, idx), f.cone(idx).multiplicity()
 
 
 @fan.command("subdivide")
@@ -204,7 +226,6 @@ def fan_singular(input_path, fmt):
               help="subdivision ray, e.g. '0 0 0 1 1' (repeatable)")
 def fan_subdivide(input_path, rays):
     f, names = _fan_and_names(input_path)
-    names = list(names)
     for expr in rays:
         f = star_subdivide(f, _numbers(expr, "--ray"))
         if len(f.rays) > len(names):
@@ -224,85 +245,71 @@ def morphism():
 
 
 @morphism.command("check")
-@add_options(map_options)
-@fmt_option
-def morphism_check(map_path, source_path, target_path, fmt):
-    m, _, _ = _morphism(map_path, source_path, target_path)
-    em = Emitter(fmt)
-    em.add("map_of_fans", is_map_of_fans(m.phi, m.source, m.target))
-    em.add("surjective", m.is_surjective_real())
-    em.add("degree", m.degree())
-    em.flush()
+@map_options
+@rows
+def morphism_check(**paths):
+    # no FanMap: its constructor refuses a map that is not a map of fans
+    phi, source, target, _, _ = _fans(**paths)
+    yield "map_of_fans", is_map_of_fans(phi, source, target)
+    yield "surjective", mat_rank(phi.matrix) == target.rank
+    yield "degree", cokernel_index(phi)
 
 
 @morphism.command("image")
-@add_options(map_options)
-@fmt_option
-def morphism_image(map_path, source_path, target_path, fmt):
-    m, _, tnames = _morphism(map_path, source_path, target_path)
+@map_options
+@rows
+def morphism_image(**paths):
+    m, _, _ = _morphism(**paths)
     img = m.image_fan()
-    em = Emitter(fmt)
-    em.add("equals_target", fan_equal(img, m.target))
-    em.add("rank", img.rank)
-    em.add("rays", len(img.rays))
-    em.add("maximal_cones", len(img.maximal_cones))
-    em.flush()
+    yield "equals_target", fan_equal(img, m.target)
+    yield "rank", img.rank
+    yield "rays", len(img.rays)
+    yield "maximal_cones", len(img.maximal_cones)
 
 
 @morphism.command("fibers")
-@add_options(map_options)
+@map_options
 @click.option("--sigma", required=True, help="image-fan cone names, e.g. 'r1'")
-@fmt_option
-def morphism_fibers(map_path, source_path, target_path, sigma, fmt):
-    m, snames, tnames = _morphism(map_path, source_path, target_path)
+@rows
+def morphism_fibers(sigma, **paths):
+    m, snames, tnames = _morphism(**paths)
     inames = _image_names(m, tnames)
-    sigma_idx = _cone_from_names(sigma, inames)
-    rep = m.fiber_report(sigma_idx)
-    em = Emitter(fmt)
-    em.add("sigma", data.cone_name(inames, rep.sigma))
-    em.add("stratum_cones", len(rep.sigma_prime_set))
-    em.add("index", rep.index)
-    em.add("components", len(rep.components))
+    rep = m.fiber_report(_cone_from_names(sigma, inames))
+    yield "sigma", data.cone_name(inames, rep.sigma)
+    yield "stratum_cones", len(rep.sigma_prime_set)
+    yield "index", rep.index
+    yield "components", len(rep.components)
     for comp in rep.components:
-        em.add("component " + data.cone_name(snames, comp.primitive_cone),
+        yield ("component " + data.cone_name(snames, comp.primitive_cone),
                f"{comp.label} dim={comp.dim}")
-    note = fiber_pattern_note([c.label for c in rep.components])
-    if note:
-        em.add("pattern", note)
+    if note := fiber_pattern_note([c.label for c in rep.components]):
+        yield "pattern", note
     for subset, dim in sorted(rep.intersections.items()):
         key = " & ".join(data.cone_name(snames, t) for t in subset)
-        em.add("intersection " + key, dim if dim == EMPTY else f"dim={dim}")
-    em.flush()
+        yield "intersection " + key, dim if dim == EMPTY else f"dim={dim}"
 
 
 @morphism.command("stratify")
-@add_options(map_options)
-@fmt_option
-def morphism_stratify(map_path, source_path, target_path, fmt):
-    m, snames, tnames = _morphism(map_path, source_path, target_path)
+@map_options
+@rows
+def morphism_stratify(**paths):
+    m, snames, tnames = _morphism(**paths)
     inames = _image_names(m, tnames)
-    em = Emitter(fmt)
     for sigma, rep in m.flattening_stratification():
-        prim = " ".join(data.cone_name(snames, t) for t in rep.primitive)
-        labels = " ".join(c.label for c in rep.components)
-        em.add(data.cone_name(inames, sigma),
-               f"Ind={rep.index} primitive=[{prim}] components=[{labels}]")
-    em.flush()
+        yield data.cone_name(inames, sigma), _stratum(rep, snames)
 
 
 @morphism.command("fibration")
-@add_options(map_options)
-@fmt_option
-def morphism_fibration(map_path, source_path, target_path, fmt):
-    m, snames, tnames = _morphism(map_path, source_path, target_path)
+@map_options
+@rows
+def morphism_fibration(**paths):
+    m, snames, tnames = _morphism(**paths)
     cert = m.is_fibration()
-    em = Emitter(fmt)
-    em.add("fibration", cert.is_fibration)
-    em.add("skeleton_onto", cert.skeleton_onto)
+    yield "fibration", cert.is_fibration
+    yield "skeleton_onto", cert.skeleton_onto
     for sigma, tau in cert.violations:
-        em.add("violation",
-               f"{data.cone_name(tnames, sigma)} <- {data.cone_name(snames, tau)}")
-    em.flush()
+        yield ("violation", f"{data.cone_name(tnames, sigma)} <- "
+                            f"{data.cone_name(snames, tau)}")
 
 
 # -- polytope ------------------------------------------------------------
@@ -315,29 +322,23 @@ def polytope():
 
 @polytope.command("points")
 @input_option
-@fmt_option
-def polytope_points(input_path, fmt):
-    p = _polytope(input_path)
-    pts = lattice_points(p)
-    em = Emitter(fmt)
-    em.add("count", len(pts))
-    em.add("first", " ".join(str(x) for x in pts[0]))
-    em.add("last", " ".join(str(x) for x in pts[-1]))
-    em.flush()
+@rows
+def polytope_points(input_path):
+    pts = _polytope(input_path).lattice_points()
+    yield "count", len(pts)
+    yield "first", _vec(pts[0])
+    yield "last", _vec(pts[-1])
 
 
 @polytope.command("facets")
 @input_option
-@fmt_option
-def polytope_facets(input_path, fmt):
+@rows
+def polytope_facets(input_path):
     p = _polytope(input_path)
-    em = Emitter(fmt)
-    em.add("facets", len(p.facets))
+    yield "facets", len(p.facets)
     for (n, c), inc in zip(p.facets, p.facet_vertex_incidence()):
-        key = "normal " + " ".join(str(x) for x in n)
-        em.add(key, f"offset={c} vertices=" +
-               ",".join(str(i) for i in inc))
-    em.flush()
+        yield ("normal " + _vec(n),
+               f"offset={c} vertices=" + ",".join(str(i) for i in inc))
 
 
 @polytope.command("dual")
@@ -349,55 +350,40 @@ def polytope_dual(input_path):
 
 @polytope.command("reflexive")
 @input_option
-@fmt_option
-def polytope_reflexive(input_path, fmt):
-    p = _polytope(input_path)
-    em = Emitter(fmt)
-    em.add("reflexive", is_reflexive(p))
-    em.flush()
+@rows
+def polytope_reflexive(input_path):
+    yield "reflexive", is_reflexive(_polytope(input_path))
 
 
 @polytope.command("restrict")
 @input_option
 @click.option("--tau", required=True, help="source cone ray names")
-@fmt_option
-def polytope_restrict(input_path, tau, fmt):
-    p = _polytope(input_path, paired=True)
-    fan, names = data.total_fan(), data.total_ray_names()
-    tau_idx = _cone_from_names(tau, names)
-    r = restriction_polytope(p, tau_idx, fan)
-    pts = lattice_points(r.polytope)
-    em = Emitter(fmt)
-    em.add("tau", data.cone_name(names, tau_idx))
-    em.add("dim", r.polytope.dim)
-    em.add("count", len(pts))
+@rows
+def polytope_restrict(input_path, tau):
+    p, m, tau_idx, _ = yield from _on_bundled_map(input_path, tau)
+    r = restriction_polytope(p, tau_idx, m.source)
+    pts = r.polytope.lattice_points()
+    yield "dim", r.polytope.dim
+    yield "count", len(pts)
     for pt in pts:
-        em.add("point", " ".join(str(x) for x in pt))
-    em.flush()
+        yield "point", _vec(pt)
 
 
 @polytope.command("project")
 @input_option
 @click.option("--tau", required=True, help="source cone ray names")
 @click.option("--sigma", required=True, help="target cone ray names")
-@fmt_option
-def polytope_project(input_path, tau, sigma, fmt):
-    p = _polytope(input_path, paired=True)
-    m = data.fibration_map()
-    snames, tnames = data.total_ray_names(), data.base_ray_names()
-    tau_idx = _cone_from_names(tau, snames)
-    sigma_idx = _cone_from_names(sigma, tnames)
+@rows
+def polytope_project(input_path, tau, sigma):
+    p, m, tau_idx, sigma_idx = yield from _on_bundled_map(input_path, tau,
+                                                           sigma)
     r = restriction_polytope(p, tau_idx, m.source)
     star = m.relative_star(tau_idx, sigma_idx)
-    proj = m.project_polytope(r, star)
-    em = Emitter(fmt)
-    em.add("tau", data.cone_name(snames, tau_idx))
-    em.add("sigma", data.cone_name(tnames, sigma_idx))
-    em.add("count", len(lattice_points(proj)))
-    em.add("component", m.component_label(star))
-    for pt in lattice_points(proj):
-        em.add("point", " ".join(str(x) for x in pt))
-    em.flush()
+    pts = m.project_polytope(r, star).lattice_points()
+    yield "count", len(pts)
+    yield "component", m.component_label(star)
+    for pt in pts:
+        yield "point", _vec(pt)
 
 
 # -- bundle --------------------------------------------------------------
@@ -410,29 +396,21 @@ def bundle():
 
 @bundle.command("sections")
 @input_option
-@fmt_option
-def bundle_sections(input_path, fmt):
-    p = _polytope(input_path)
-    em = Emitter(fmt)
-    em.add("sections", len(lattice_points(p)))
-    em.flush()
+@rows
+def bundle_sections(input_path):
+    yield "sections", len(_polytope(input_path).lattice_points())
 
 
 @bundle.command("restrict")
 @input_option
 @click.option("--tau", required=True, help="source cone ray names")
-@fmt_option
-def bundle_restrict(input_path, tau, fmt):
-    p = _polytope(input_path, paired=True)
-    fan, names = data.total_fan(), data.total_ray_names()
-    tau_idx = _cone_from_names(tau, names)
+@rows
+def bundle_restrict(input_path, tau):
+    p, m, tau_idx, _ = yield from _on_bundled_map(input_path, tau)
     s = LaurentSection.generic(p)
-    restricted, _ = restrict_section_to_orbit_closure(s, tau_idx, p, fan)
-    em = Emitter(fmt)
-    em.add("tau", data.cone_name(names, tau_idx))
-    em.add("original_terms", len(s))
-    em.add("surviving_terms", len(restricted))
-    em.flush()
+    restricted, _ = restrict_section_to_orbit_closure(s, tau_idx, p, m.source)
+    yield "original_terms", len(s)
+    yield "surviving_terms", len(restricted)
 
 
 @bundle.command("fibred")
@@ -441,43 +419,31 @@ def bundle_restrict(input_path, tau, fmt):
 @click.option("--sigma", required=True, help="target cone ray names")
 @click.option("--xi", "xi_spec", default="auto",
               help="'auto' or a lattice_map document path")
-@fmt_option
-def bundle_fibred(input_path, tau, sigma, xi_spec, fmt):
-    p = _polytope(input_path, paired=True)
-    m = data.fibration_map()
-    snames, tnames = data.total_ray_names(), data.base_ray_names()
-    tau_idx = _cone_from_names(tau, snames)
-    sigma_idx = _cone_from_names(sigma, tnames)
+@rows
+def bundle_fibred(input_path, tau, sigma, xi_spec):
+    p, m, tau_idx, sigma_idx = yield from _on_bundled_map(input_path, tau,
+                                                           sigma)
     xi = None if xi_spec == "auto" else \
         lattice_map_from_document(_load(xi_spec))
-    s = LaurentSection.generic(p)
-    form = fibred_form(s, tau_idx, sigma_idx, m, p, xi=xi)
-    em = Emitter(fmt)
-    em.add("tau", data.cone_name(snames, tau_idx))
-    em.add("sigma", data.cone_name(tnames, sigma_idx))
-    em.add("groups", len(form.groups))
+    form = fibred_form(LaurentSection.generic(p), tau_idx, sigma_idx, m, p,
+                       xi=xi)
+    yield "groups", len(form.groups)
     for f, terms in form.groups:
-        key = "fiber " + " ".join(str(x) for x in f)
-        em.add(key, f"{len(terms)} terms")
-    em.flush()
+        yield "fiber " + _vec(f), f"{len(terms)} terms"
 
 
 @bundle.command("homogeneous")
 @input_option
 @click.option("--coeffs", default=None,
               help="divisor coefficients, comma separated (default all 1)")
-@fmt_option
-def bundle_homogeneous(input_path, coeffs, fmt):
+@rows
+def bundle_homogeneous(input_path, coeffs):
     p = _polytope(input_path, paired=True)
     fan = data.total_fan()
     a = _numbers(coeffs, "--coeffs") if coeffs else [1] * len(fan.rays)
-    s = LaurentSection.generic(p)
-    table = homogeneous_form(s, p, fan, a)
-    em = Emitter(fmt)
-    em.add("monomials", len(table.ray_exponents))
-    degs = {sum(e) for _, e in table.ray_exponents}
-    em.add("degrees", " ".join(str(d) for d in sorted(degs)))
-    em.flush()
+    table = homogeneous_form(LaurentSection.generic(p), p, fan, a)
+    yield "monomials", len(table.ray_exponents)
+    yield "degrees", _vec(sorted({sum(e) for _, e in table.ray_exponents}))
 
 
 # -- analysis ------------------------------------------------------------
@@ -493,30 +459,26 @@ def analysis():
               type=click.Choice(sorted(DISCRIMINANTS)))
 @click.option("--coeffs", required=True,
               help="coefficients in support order, comma separated")
-@fmt_option
-def analysis_discriminant(shape, coeffs, fmt):
+@rows
+def analysis_discriminant(shape, coeffs):
     sh = DISCRIMINANTS[shape]
     values = _numbers(coeffs, "--coeffs", Fraction)
-    em = Emitter(fmt)
-    em.add("shape", shape)
-    em.add("support", " ".join(f"({a},{b})" for a, b in sh.support))
-    em.add("value", discriminant_eval(sh, values))
-    em.flush()
+    yield "shape", shape
+    yield "support", " ".join(f"({a},{b})" for a, b in sh.support)
+    yield "value", discriminant_eval(sh, values)
 
 
 @analysis.command("intersections")
 @click.option("--surface", required=True,
               type=click.Choice(sorted(CATALOG_RAYS)))
-@fmt_option
-def analysis_intersections(surface, fmt):
+@rows
+def analysis_intersections(surface):
     table = intersection_table(catalog_fan(surface))
-    em = Emitter(fmt)
-    em.add("surface", surface)
-    em.add("rays", "; ".join(" ".join(str(x) for x in r) for r in table.rays))
+    yield "surface", surface
+    yield "rays", "; ".join(_vec(r) for r in table.rays)
     for i, row in enumerate(table.entries):
-        em.add(f"D{i}", " ".join(str(x) for x in row))
-    em.add("K_squared", table.canonical_squared())
-    em.flush()
+        yield f"D{i}", _vec(row)
+    yield "K_squared", table.canonical_squared()
 
 
 @analysis.command("genus")
@@ -524,44 +486,33 @@ def analysis_intersections(surface, fmt):
               type=click.Choice(sorted(CATALOG_RAYS)))
 @click.option("--curve", required=True,
               help="ray coefficients of the curve class, comma separated")
-@fmt_option
-def analysis_genus(surface, curve, fmt):
-    fan = catalog_fan(surface)
-    coeffs = _numbers(curve, "--curve")
-    em = Emitter(fmt)
-    em.add("surface", surface)
-    em.add("genus", adjunction_genus(fan, coeffs))
-    em.flush()
+@rows
+def analysis_genus(surface, curve):
+    fan, coeffs = catalog_fan(surface), _numbers(curve, "--curve")
+    yield "surface", surface
+    yield "genus", adjunction_genus(fan, coeffs)
 
 
 @analysis.command("moduli")
 @input_option
-@fmt_option
-def analysis_moduli(input_path, fmt):
+@rows
+def analysis_moduli(input_path):
     p = _polytope(input_path)
-    em = Emitter(fmt)
-    em.add("lattice_points", len(lattice_points(p)))
-    em.add("facet_interior_sum", facet_interior_sum(p))
-    em.add("moduli_dimension", moduli_dimension(p))
-    em.flush()
+    yield "lattice_points", len(p.lattice_points())
+    yield "facet_interior_sum", facet_interior_sum(p)
+    yield "moduli_dimension", moduli_dimension(p)
 
 
 @analysis.command("resolve")
 @input_option
-@fmt_option
-def analysis_resolve(input_path, fmt):
-    f, names = _fan_and_names(input_path, paired=True)
-    rays = [data.RESOLUTION_RAYS[n] for n in data.RESOLUTION_ORDER]
-    rep = resolve_pipeline(f, rays, phi=data.projection(),
-                           target=data.base_fan())
-    em = Emitter(fmt)
+@rows
+def analysis_resolve(input_path):
+    f, _ = _fan_and_names(input_path, paired=True)
+    rep, fiber = _resolved(f, data.projection(), data.base_fan())
     for step, name in zip(rep.steps, data.RESOLUTION_ORDER):
-        em.add(f"insert {name}", f"maximal_cones={step.maximal_cones}")
-    em.add("smooth", rep.smooth)
-    em.add("generic_fiber_rays",
-           "; ".join(" ".join(str(x) for x in r)
-                     for r in rep.generic_fiber_rays))
-    em.flush()
+        yield f"insert {name}", f"maximal_cones={step.maximal_cones}"
+    yield "smooth", rep.smooth
+    yield "generic_fiber_rays", fiber
 
 
 # -- pipeline ------------------------------------------------------------
@@ -580,32 +531,27 @@ def pipeline_report_lines() -> list[str]:
     p = data.section_polytope()
     snames = data.total_ray_names()
     tnames = data.base_ray_names()
-    out = []
-    out.append("== dataset ==")
-    out.append(f"source fan: rank {m.source.rank}, {len(m.source.rays)} rays, "
-               f"{len(m.source.maximal_cones)} maximal cones")
-    out.append(f"target fan: rank {m.target.rank}, {len(m.target.rays)} rays, "
-               f"{len(m.target.maximal_cones)} maximal cones, "
-               f"{len(m.target.all_cone_indices)} cones, "
-               f"smooth={m.target.is_smooth()}")
-    out.append(f"polytope: {len(p.vertices)} vertices, {len(p.facets)} facets, "
-               f"{len(lattice_points(p))} lattice points, "
-               f"reflexive={is_reflexive(p)}")
     cert = m.is_fibration()
-    out.append(f"fibration={cert.is_fibration} skeleton_onto={cert.skeleton_onto}")
-    out.append("")
-    out.append("== strata ==")
+    out = ["== dataset ==",
+           f"source fan: rank {m.source.rank}, {len(m.source.rays)} rays, "
+           f"{len(m.source.maximal_cones)} maximal cones",
+           f"target fan: rank {m.target.rank}, {len(m.target.rays)} rays, "
+           f"{len(m.target.maximal_cones)} maximal cones, "
+           f"{len(m.target.all_cone_indices)} cones, "
+           f"smooth={m.target.is_smooth()}",
+           f"polytope: {len(p.vertices)} vertices, {len(p.facets)} facets, "
+           f"{len(p.lattice_points())} lattice points, "
+           f"reflexive={is_reflexive(p)}",
+           f"fibration={cert.is_fibration} skeleton_onto={cert.skeleton_onto}",
+           "", "== strata =="]
     total_prim = 0
     table = m.flattening_stratification()
     for sigma, rep in table:
-        prim = " ".join(data.cone_name(snames, t) for t in rep.primitive)
-        labels = " ".join(c.label for c in rep.components)
         total_prim += sum(1 for t in rep.primitive if t)
-        out.append(f"{data.cone_name(tnames, sigma):10s} Ind={rep.index} "
-                   f"primitive=[{prim}] components=[{labels}]")
-    out.append(f"nonzero primitive cones: {total_prim}")
-    out.append("")
-    out.append("== restrictions ==")
+        out.append(f"{data.cone_name(tnames, sigma):10s} "
+                   f"{_stratum(rep, snames)}")
+    out += [f"nonzero primitive cones: {total_prim}", "",
+            "== restrictions =="]
     vno = {v: i + 1 for i, v in enumerate(data.POLYTOPE_VERTICES)}
     for sigma, rep in table:
         for comp in rep.components:
@@ -619,25 +565,15 @@ def pipeline_report_lines() -> list[str]:
             out.append(f"{data.cone_name(snames, tau):16s} "
                        f"hull={','.join(str(i) for i in hull_ids):24s} "
                        f"points={count:5d} fiber_points="
-                       f"{len(lattice_points(proj))} label={comp.label}")
-    out.append("")
-    out.append("== moduli ==")
-    out.append(f"lattice points: {len(lattice_points(p))}")
-    out.append(f"facet interior sum: {facet_interior_sum(p)}")
-    out.append(f"moduli dimension: {moduli_dimension(p)}")
-    out.append("")
-    out.append("== resolution ==")
-    rep = resolve_pipeline(m.source,
-                           [data.RESOLUTION_RAYS[n]
-                            for n in data.RESOLUTION_ORDER],
-                           phi=m.phi, target=m.target)
+                       f"{len(proj.lattice_points())} label={comp.label}")
+    out += ["", "== moduli ==",
+            f"lattice points: {len(p.lattice_points())}",
+            f"facet interior sum: {facet_interior_sum(p)}",
+            f"moduli dimension: {moduli_dimension(p)}", "", "== resolution =="]
+    rep, fiber = _resolved(m.source, m.phi, m.target)
     for step, name in zip(rep.steps, data.RESOLUTION_ORDER):
         out.append(f"insert {name}: maximal cones {step.maximal_cones}")
-    out.append(f"smooth: {rep.smooth}")
-    out.append("generic fiber rays: "
-               + "; ".join(" ".join(str(x) for x in r)
-                           for r in rep.generic_fiber_rays))
-    return out
+    return out + [f"smooth: {rep.smooth}", f"generic fiber rays: {fiber}"]
 
 
 def main():

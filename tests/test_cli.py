@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -25,10 +26,64 @@ def test_fan_check():
     assert "complete: True" in res.output
 
 
+def test_fan_check_layout():
+    # table keys are padded to the longest key plus two spaces
+    assert run("fan", "check").output == (
+        "rank           5\n"
+        "rays           13\n"
+        "maximal_cones  54\n"
+        "cones_total    393\n"
+        "f_vector       1 13 60 130 135 54\n"
+        "complete       True\n")
+    assert run("fan", "check", "--format", "structured").output == (
+        "rank: 5\nrays: 13\nmaximal_cones: 54\ncones_total: 393\n"
+        "f_vector: 1 13 60 130 135 54\ncomplete: True\n")
+
+
+def leaf_commands(group, path=()):
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from leaf_commands(cmd, path + (name,))
+        else:
+            yield " ".join(path + (name,)), cmd
+
+
+def test_every_row_command_takes_format():
+    documents = {"fan subdivide", "polytope dual", "pipeline"}
+    leaves = dict(leaf_commands(cli))
+    assert documents < leaves.keys()
+    for name, cmd in leaves.items():
+        fmt = [p for p in cmd.params if p.name == "fmt"]
+        if name in documents:
+            assert fmt == [], name
+            continue
+        assert [p.opts for p in fmt] == [["--format"]], name
+        assert list(fmt[0].type.choices) == ["table", "structured"], name
+        assert fmt[0].default == "table", name
+
+
 def test_fan_smooth_and_singular():
     assert "False" in run("fan", "smooth").output
     out = run("fan", "singular").output
     assert "v5'.b'" in out and "v4'.e1'.e2'" in out
+
+
+def test_morphism_check_reports_a_map_that_is_not_a_map_of_fans(tmp_path):
+    # (x, y) -> x takes the CP2 cone spanned by (0, 1) and (-1, -1) onto
+    # the whole line, which is no cone of P1; phi is still onto, of degree 1
+    paths = []
+    for name, text in (("map", "toricfiber lattice_map v1\nrows 1\ncols 2\n"
+                               "row 1 0\n"),
+                       ("source", "toricfiber fan v1\nrank 2\nray x 1 0\n"
+                                  "ray y 0 1\nray z -1 -1\ncone x y\n"
+                                  "cone y z\ncone z x\n"),
+                       ("target", "toricfiber fan v1\nrank 1\nray a 1\n"
+                                  "ray b -1\ncone a\ncone b\n")):
+        (tmp_path / name).write_text(text)
+        paths.append(f"--{name}={tmp_path / name}")
+    res = run("morphism", "check", *paths, "--format", "structured")
+    assert res.exit_code == 0
+    assert res.output == "map_of_fans: False\nsurjective: True\ndegree: 1\n"
 
 
 def test_morphism_commands():
