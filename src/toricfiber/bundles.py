@@ -19,7 +19,7 @@ from fractions import Fraction
 from .fans import Fan
 from .intlinalg import (InvariantError, LatticeMap, Vec, dual_map, is_zero,
                         mat_mul, mat_transpose, mat_vec, quotient_lattice,
-                        saturate_columns, section_of_surjection, vdot, vsub)
+                        section_of_surjection, vdot, vsub)
 from .morphism import FanMap
 from .polytopes import Polytope, RestrictedPolytope, restriction_polytope
 
@@ -146,11 +146,9 @@ class FibredForm:
 def quotient_surjection(m: FanMap, tau_idx, sigma_idx):
     """Induced map N'/N'_tau -> N/N_sigma in the SNF quotient bases."""
     fan = m.image_fan()
-    q_src = quotient_lattice(
-        m.source.rank,
-        saturate_columns([m.source.rays[i] for i in tau_idx], m.source.rank))
-    q_dst = quotient_lattice(
-        fan.rank, saturate_columns([fan.rays[i] for i in sigma_idx], fan.rank))
+    q_src = quotient_lattice(m.source.rank,
+                             [m.source.rays[i] for i in tau_idx])
+    q_dst = quotient_lattice(fan.rank, [fan.rays[i] for i in sigma_idx])
     phi_img = m._phi_img
     cols = [q_dst.project(phi_img.apply(b)) for b in q_src.quotient_basis]
     return LatticeMap.from_columns(cols), q_src, q_dst

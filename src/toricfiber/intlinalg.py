@@ -40,10 +40,6 @@ class InvariantError(ArithmeticError):
     so `python -O` keeps it; the CLI exits with code 2 on it."""
 
 
-def vec(*coords) -> Vec:
-    return tuple(int(c) for c in coords)
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -469,52 +465,6 @@ def kernel_basis(f: LatticeMap) -> list[Vec]:
     return list(kernel_coords(f)[0].basis)
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
-    """Z^ambient / span(sub), described by a compatible basis change.
-
-    `quotient_basis` lifts a basis of the free part back to the ambient
-    lattice; `torsion` lists the invariant factors > 1.  `_projection`
-    holds the rows of U^-1 that give coordinates in the free part.
-    """
-
-    ambient_rank: int
-    sublattice_basis: tuple[Vec, ...]
-    quotient_basis: tuple[Vec, ...]
-    torsion: tuple[int, ...]
-    _projection: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.quotient_basis)
-
-    def project(self, x: Vec) -> Vec:
-        """Coordinates of x in the free part of the quotient."""
-        return mat_vec(self._projection, x)
-
-
-def quotient_lattice(ambient_rank: int, sub) -> QuotientLattice:
-    """Quotient of Z^ambient_rank by the span of independent vectors."""
-    sub = [tuple(int(x) for x in s) for s in sub]
-    if not sub:
-        ident = tuple(tuple(r) for r in _identity(ambient_rank))
-        return QuotientLattice(ambient_rank, (), ident, (), ident)
-    mat = [[s[i] for s in sub] for i in range(ambient_rank)]  # columns = sub
-    snf = smith_normal_form(mat)
-    k = len(sub)
-    if snf.rank < k:
-        raise ValueError("sublattice vectors are dependent")
-    quotient = tuple(tuple(row[j] for row in snf.U)
-                     for j in range(k, ambient_rank))
-    return QuotientLattice(
-        ambient_rank=ambient_rank,
-        sublattice_basis=tuple(sub),
-        quotient_basis=quotient,
-        torsion=tuple(d for d in snf.diagonal if d > 1),
-        _projection=snf.Uinv[k:],
-    )
-
-
 def section_of_surjection(f: LatticeMap) -> LatticeMap:
     """A right inverse xi with f . xi = identity, via the SNF transforms.
 
@@ -530,17 +480,6 @@ def section_of_surjection(f: LatticeMap) -> LatticeMap:
     t = f.target_rank
     return LatticeMap.from_rows(mat_mul([row[:t] for row in snf.Vinv],
                                         snf.Uinv))
-
-
-def saturate_columns(columns, ambient_rank: int) -> list[Vec]:
-    """Basis of the saturation (R-span intersected with Z^n) of a column lattice."""
-    if not columns:
-        return []
-    mat = [[c[i] for c in columns] for i in range(ambient_rank)]
-    snf = smith_normal_form(mat)
-    r = snf.rank
-    u = snf.U
-    return [tuple(u[i][j] for i in range(ambient_rank)) for j in range(r)]
 
 
 @dataclass(frozen=True)
@@ -585,6 +524,45 @@ class SublatticeCoords:
         return c if lin_comb(c, self.basis, len(x)) == tuple(x) else None
 
 
+@dataclass(frozen=True)
+class QuotientLattice:
+    """Z^n modulo the saturated span of some generators: lifts of a basis
+    of the quotient, the rows projecting onto it, whose kernel is the
+    span, and the span with its coordinates."""
+
+    quotient_basis: tuple[Vec, ...]
+    projection: tuple[tuple[int, ...], ...]
+    span: SublatticeCoords
+
+    @property
+    def rank(self) -> int:
+        return len(self.quotient_basis)
+
+    def project(self, x: Vec) -> Vec:
+        """Coordinates of x in the quotient."""
+        return mat_vec(self.projection, x)
+
+
+def quotient_lattice(ambient_rank: int, gens) -> QuotientLattice:
+    """Quotient of Z^ambient_rank by the saturation of the span of any
+    generators, off one Smith form A = U S V of rank r, A having the
+    generators as columns.  The span's saturation is spanned by columns
+    ..r of U, with rows ..r of U^-1 as its left inverse; columns r.. of U
+    lift the quotient basis, and rows r.. of U^-1 project onto it."""
+    gens = [tuple(int(x) for x in g) for g in gens]
+    for g in gens:
+        if len(g) != ambient_rank:
+            raise ValueError(f"generator {g} is not in Z^{ambient_rank}")
+    if not gens:
+        ident = tuple(tuple(r) for r in _identity(ambient_rank))
+        return QuotientLattice(ident, ident, SublatticeCoords((), (), 1))
+    snf = smith_normal_form(list(zip(*gens)))
+    r = snf.rank
+    u = _transposed(snf.U)
+    return QuotientLattice(u[r:], snf.Uinv[r:],
+                           SublatticeCoords(u[:r], snf.Uinv[:r], 1))
+
+
 def kernel_coords(f: LatticeMap) -> tuple[SublatticeCoords, object]:
     """(ker f with its coordinates, [target : image]) off one Smith form
     f = U S V of rank r.  The kernel basis is columns r.. of V^-1, and
@@ -600,6 +578,7 @@ def kernel_coords(f: LatticeMap) -> tuple[SublatticeCoords, object]:
     return SublatticeCoords(basis, snf.V[r:], 1), _index(snf, f.target_rank)
 
 
+# No library caller: perfbench/tracing.py traces this name.
 def in_sublattice_coords(basis, x: Vec):
     """Coordinates of x in terms of an independent sublattice basis, or
     None when x is off the sublattice.  To map many vectors on one basis,

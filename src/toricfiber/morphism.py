@@ -21,12 +21,10 @@ from functools import cached_property, lru_cache
 from .fans import Cone, Fan, fan_from_cones, zero_fan
 from .geometry import dual_description
 from .intlinalg import (INFINITE, InvariantError, LatticeMap,
-                        QuotientLattice, SublatticeCoords, Vec,
-                        cokernel_index, is_zero, kernel_coords, lin_comb,
-                        mat_rank, mat_vec, primitivize, quotient_lattice,
-                        saturate_columns, smith_normal_form, vdot)
-from .polytopes import (Polytope, RestrictedPolytope, SubspaceChart,
-                        orthogonal_complement_basis)
+                        SublatticeCoords, Vec, cokernel_index, is_zero,
+                        kernel_coords, lin_comb, mat_rank, mat_vec,
+                        primitivize, quotient_lattice, vdot)
+from .polytopes import Polytope, RestrictedPolytope, SubspaceChart
 from .surfaces import UNKNOWN, identify_surface
 
 EMPTY = "EMPTY"
@@ -149,11 +147,10 @@ class FibrationCertificate:
 @dataclass(frozen=True)
 class _Stratum:
     """Lattice data shared by every source cone over one image cone sigma:
-    N/N_sigma, the preimage phi^-1(N_sigma) with its coordinate map, the
-    preimage coordinates of the rays of every member, and the index of
-    phi(N') in N/N_sigma (INFINITE when it has lower rank)."""
+    the preimage phi^-1(N_sigma) with its coordinate map, the preimage
+    coordinates of the rays of every member, and the index of phi(N') in
+    N/N_sigma (INFINITE when it has lower rank)."""
 
-    q_sigma: QuotientLattice
     preimage: SublatticeCoords
     ray_coords: dict
     index: object
@@ -191,23 +188,20 @@ class FanMap:
     @cached_property
     def _image_data(self):
         """(image fan, phi in image coords, the image lattice's basis in
-        the target lattice).  Below full rank the basis is columns ..r of
-        U in phi = U S V of rank r, so rows ..r of U^-1 are its left
-        inverse."""
-        snf = smith_normal_form(self.phi.matrix)
-        r = snf.rank
+        the target lattice).  Below full rank the image lattice is the
+        saturated span of phi's columns, cut out by the projection rows
+        of the quotient by it."""
         n = self.target.rank
-        if r == n:
+        quot = quotient_lattice(n, self.phi.columns())
+        if not quot.rank:
             return self.target, self.phi, LatticeMap.identity(n).matrix
-        basis = tuple(tuple(snf.U[i][j] for i in range(n)) for j in range(r))
-        in_image = SublatticeCoords(basis, snf.Uinv[:r], 1)
+        in_image = quot.span
         cones = []
-        span_rows = orthogonal_complement_basis(basis, n)
         for idx in self.target.maximal_cones or [()]:
             cone = self.target.cone(idx)
             normals, eqs = cone.halfspaces
             rays, lin = dual_description(
-                list(normals), list(eqs) + span_rows, n)
+                list(normals), list(eqs) + list(quot.projection), n)
             gens = []
             for ray in rays:
                 coords = in_image(ray)
@@ -221,8 +215,8 @@ class FanMap:
                 raise InvariantError(
                     f"image lattice: phi column {col} is outside the image")
             phi_img_cols.append(coords)
-        return (fan_from_cones(r, cones), LatticeMap.from_columns(phi_img_cols),
-                basis)
+        return (fan_from_cones(n - quot.rank, cones),
+                LatticeMap.from_columns(phi_img_cols), in_image.basis)
 
     def image_fan(self) -> Fan:
         return self._image_data[0]
@@ -318,8 +312,8 @@ class FanMap:
         one index per stratum."""
         if sigma_idx not in self._strata:
             fan = self.image_fan()
-            q_sigma = quotient_lattice(fan.rank, saturate_columns(
-                [fan.rays[i] for i in sigma_idx], fan.rank))
+            q_sigma = quotient_lattice(fan.rank,
+                                       [fan.rays[i] for i in sigma_idx])
             # preimage of span(sigma): kernel of projection-after-phi, and
             # the index of its image, off one Smith form
             pre, index = kernel_coords(LatticeMap.from_columns(
@@ -333,7 +327,7 @@ class FanMap:
                             raise InvariantError(
                                 f"stratum over sigma {sigma_idx}: member {sp} "
                                 f"has ray {i} outside the preimage of N_sigma")
-            self._strata[sigma_idx] = _Stratum(q_sigma, pre, ray_coords, index)
+            self._strata[sigma_idx] = _Stratum(pre, ray_coords, index)
         return self._strata[sigma_idx]
 
     def primitive_cones(self, sigma_idx) -> list[tuple[int, ...]]:
@@ -366,19 +360,14 @@ class FanMap:
         sigma_idx = tuple(sorted(sigma_idx))
         if self.sigma_of(tau_idx) != sigma_idx:
             raise ValueError("tau does not lie over the relative interior of sigma")
+        # phi^-1(N_sigma), a kernel, is saturated, and `_stratum` checks
+        # that it holds every member ray, tau's among them
         stratum = self._stratum(sigma_idx)
         pre = stratum.preimage
-        n_src = self.source.rank
-        tau_coords = []
-        for t in saturate_columns([self.source.rays[i] for i in tau_idx], n_src):
-            c = pre(t)
-            if c is None:
-                raise InvariantError(
-                    f"relative star: tau {tau_idx} is not inside the "
-                    f"preimage of sigma {sigma_idx}")
-            tau_coords.append(c)
-        quot = quotient_lattice(len(pre.basis), tau_coords)
-        lifts = tuple(lin_comb(b, pre.basis, n_src) for b in quot.quotient_basis)
+        quot = quotient_lattice(len(pre.basis),
+                                [stratum.ray_coords[i] for i in tau_idx])
+        lifts = tuple(lin_comb(b, pre.basis, self.source.rank)
+                      for b in quot.quotient_basis)
 
         projected = {}
 

@@ -52,8 +52,7 @@ from toricfiber.geometry import dual_description
 from toricfiber.intlinalg import (INFINITE, LatticeMap, cokernel_index,
                                   is_zero, kernel_basis, lin_comb, mat_mul,
                                   mat_transpose, mat_vec, primitivize,
-                                  quotient_lattice, saturate_columns,
-                                  smith_normal_form, vadd, vdot, vsub)
+                                  quotient_lattice, vadd, vdot, vsub)
 from toricfiber.morphism import EMPTY
 from toricfiber.polytopes import (Polytope, face_polytope,
                                   orthogonal_complement_basis,
@@ -471,17 +470,6 @@ def sublattice_index(basis_super, basis_sub, ambient_rank):
     return cokernel_index(LatticeMap.from_rows(mat))
 
 
-def project_with_torsion(q, x):
-    """(free coordinates, torsion coordinates) of x in the quotient q: the
-    coordinates after U^-1 of the sublattice's Smith form, the torsion
-    ones reduced modulo their invariant factors."""
-    mat = [[s[i] for s in q.sublattice_basis] for i in range(q.ambient_rank)]
-    snf = smith_normal_form(mat)
-    y = [sum(a * b for a, b in zip(row, x)) for row in snf.Uinv]
-    tor = tuple(y[i] % d for i, d in enumerate(snf.diagonal) if d > 1)
-    return q.project(x), tor
-
-
 def cone_extreme_rays(generators, dim):
     """Extreme rays of cone(generators), primitive and deduplicated."""
     gens = [primitivize(g) for g in generators if any(g)]
@@ -526,16 +514,23 @@ def face_table(fan):
     return table
 
 
+def saturated_basis(vectors, rank):
+    """A basis of the saturation of the span of some vectors: what is
+    orthogonal to everything orthogonal to them."""
+    return orthogonal_complement_basis(
+        orthogonal_complement_basis(vectors, rank), rank)
+
+
 def member_index(m, sigma_idx, sp):
     """(index, canonical basis of the image) of N'/N'_sp in N/N_sigma,
     computed from the one stratum member sp of the FanMap m."""
     fan = m.image_fan()
-    q_sigma = quotient_lattice(fan.rank, saturate_columns(
+    q_sigma = quotient_lattice(fan.rank, saturated_basis(
         [fan.rays[i] for i in sigma_idx], fan.rank))
     if q_sigma.rank == 0:
         return 1, ()
     n_src = m.source.rank
-    q_sp = quotient_lattice(n_src, saturate_columns(
+    q_sp = quotient_lattice(n_src, saturated_basis(
         [m.source.rays[i] for i in sp], n_src))
     cols = [q_sigma.project(m._phi_img.apply(b)) for b in q_sp.quotient_basis]
     image = column_lattice_hnf(cols, q_sigma.rank)

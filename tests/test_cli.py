@@ -6,7 +6,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from toricfiber import data
+from toricfiber import data, fans, intlinalg
 from toricfiber.cli import cli, main, pipeline_report_lines
 from toricfiber.documents import fan_document, serialize
 from toricfiber.fans import Fan
@@ -410,6 +410,42 @@ def test_pipeline_report_builds_one_star_per_component(monkeypatch):
     monkeypatch.setattr(FanMap, "relative_star", counted)
     assert pipeline_report_lines() == expected
     assert len(stars) == len(set(stars)) == 61
+
+
+def test_relative_star_takes_at_most_one_smith_form(monkeypatch):
+    """A relative star reads N'/N'_tau off one Smith form of tau's rays in
+    the preimage of N_sigma, which the stratum built; the stratum's own
+    Smith forms are not counted."""
+    expected = pipeline_report_lines()
+    forms = {"all": 0, "stratum": 0}
+    per_star = []
+    smith, stratum, star = (intlinalg.smith_normal_form, FanMap._stratum,
+                            FanMap.relative_star)
+
+    def counted_smith(matrix):
+        forms["all"] += 1
+        return smith(matrix)
+
+    def stratum_uncounted(self, sigma_idx):
+        before = forms["all"]
+        try:
+            return stratum(self, sigma_idx)
+        finally:
+            forms["stratum"] += forms["all"] - before
+
+    def star_counted(self, tau_idx, sigma_idx):
+        before = dict(forms)
+        out = star(self, tau_idx, sigma_idx)
+        per_star.append(forms["all"] - before["all"]
+                        - (forms["stratum"] - before["stratum"]))
+        return out
+
+    for module in (intlinalg, fans):
+        monkeypatch.setattr(module, "smith_normal_form", counted_smith)
+    monkeypatch.setattr(FanMap, "_stratum", stratum_uncounted)
+    monkeypatch.setattr(FanMap, "relative_star", star_counted)
+    assert pipeline_report_lines() == expected
+    assert len(per_star) == 61 and max(per_star) <= 1
 
 
 def src_env():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,17 +11,16 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import (column_lattice_hnf, fraction_sublattice_coords,
-                     lattice_intersection, project_with_torsion,
-                     sublattice_index)
+                     lattice_intersection, sublattice_index)
 from toricfiber import data, intlinalg
 from toricfiber.intlinalg import (INFINITE, LatticeMap, SublatticeCoords,
                                   cokernel_index, dual_map,
-                                  in_sublattice_coords,
+                                  in_sublattice_coords, is_zero,
                                   kernel_basis, lin_comb, mat_det,
                                   mat_inverse_unimodular, mat_mul, mat_rank,
                                   mat_vec,
                                   quotient_lattice, section_of_surjection,
-                                  smith_normal_form, vdot)
+                                  smith_normal_form, vdot, vgcd)
 from toricfiber.morphism import FanMap
 from toricfiber.polytopes import SubspaceChart
 from toricfiber.surfaces import CATALOG_RAYS, catalog_fan, identify_surface
@@ -64,34 +64,77 @@ def test_kernel_projection():
     assert kernel_basis(LatticeMap.identity(3)) == []
 
 
+def is_saturated(basis):
+    """An independent basis spans a saturated sublattice exactly when its
+    Smith form has every invariant factor 1."""
+    return smith_normal_form(list(zip(*basis))).diagonal == (1,) * len(basis)
+
+
 def test_kernel_saturated():
     f = LatticeMap.from_rows([[2, 4]])
     (b,) = kernel_basis(f)
     assert vdot((2, 4), b) == 0
     assert b in ((2, -1), (-2, 1))
-    # saturation: quotient by the kernel has no torsion
-    q = quotient_lattice(2, [b])
-    assert q.torsion == ()
+    assert is_saturated([b])
 
 
 def test_quotient_examples():
     q = quotient_lattice(3, [(0, 0, 1)])
-    assert q.rank == 2 and q.torsion == ()
+    assert q.rank == 2
+    # the quotient is by the saturation of the span: (1, 0) goes to 0
     q = quotient_lattice(2, [(2, 0)])
-    assert q.rank == 1 and q.torsion == (2,)
-    # coset count oracle: points of a box, distinct projections * torsion
-    cosets = {project_with_torsion(q, (x, y)) for x in range(-4, 5)
-              for y in range(-4, 5)}
-    frees = {c[0] for c in cosets}
-    tors = {c[1] for c in cosets}
-    assert len(tors) == 2
+    assert q.rank == 1 and q.project((1, 0)) == (0,)
     q = quotient_lattice(5, [(-1, 0, 0, 2, 3), (0, 0, 2, 2, 3)])
-    assert q.rank == 3 and q.torsion == ()
+    assert q.rank == 3
 
 
-def test_quotient_rejects_dependent():
-    with pytest.raises(ValueError):
-        quotient_lattice(2, [(1, 0), (2, 0)])
+def test_quotient_of_dependent_generators():
+    assert quotient_lattice(2, [(1, 0), (2, 0)]) == \
+        quotient_lattice(2, [(1, 0)])
+
+
+def test_quotient_rejects_generators_of_another_length():
+    # (1, 0, 0) was read as (1, 0), and (1, 0) in rank 3 raised IndexError
+    for rank, gens in ((2, [(1, 0, 0)]), (3, [(1, 0)])):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{gens[-1]} is not in Z^{rank}")):
+            quotient_lattice(rank, gens)
+
+
+def unit(i, n):
+    return tuple(int(i == j) for j in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_by_the_saturated_span(picks):
+    n = picks.draw(st.integers(0, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * n)
+    drawn = picks.draw(st.lists(vec, max_size=4))
+    # dependent and non-primitive generators: integer combinations
+
+    def combination():
+        return lin_comb(picks.draw(st.lists(
+            st.integers(-3, 3), min_size=len(drawn), max_size=len(drawn))),
+            drawn, n)
+
+    gens = drawn + [combination()
+                    for _ in range(picks.draw(st.integers(0, 2)))]
+    q = quotient_lattice(n, gens)
+    r = mat_rank(gens)
+    assert q.rank == n - r
+    assert all(is_zero(q.project(g)) for g in gens)
+    for j, lift in enumerate(q.quotient_basis):
+        assert q.project(lift) == unit(j, q.rank)
+    # a primitive vector on the span is in the saturation, if not on the
+    # lattice the generators span
+    on_span = combination()
+    for x in (picks.draw(vec), on_span,
+              tuple(x // max(1, vgcd(on_span)) for x in on_span)):
+        assert is_zero(q.project(x)) == (mat_rank(gens + [x]) == r)
+    assert len(q.span.basis) == r
+    for i, b in enumerate(q.span.basis):
+        assert q.span(b) == unit(i, r)
 
 
 def test_section_of_surjection():
@@ -271,7 +314,7 @@ def test_snf_contract(matrix):
     for b in kb:
         assert all(x == 0 for x in f.apply(b))
     if kb:
-        assert quotient_lattice(f.source_rank, kb).torsion == ()
+        assert is_saturated(kb)
 
 
 def test_inverse_rejects_non_unimodular_and_singular():
